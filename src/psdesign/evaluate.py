@@ -57,19 +57,23 @@ def angular_error(a, b) -> float:
     return float(np.degrees(np.arccos(np.clip(a @ b, -1.0, 1.0))))
 
 
-def _error_map_deg(est: NormalMap, gt: NormalMap) -> tuple[np.ndarray, np.ndarray]:
+def _error_map_deg(est: NormalMap, gt: NormalMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Error map (NaN off the joint mask), joint mask, and the joint errors."""
     if (est.height, est.width) != (gt.height, gt.width):
         raise DimensionMismatchError(
             f"maps differ in size: {est.height}x{est.width} vs {gt.height}x{gt.width}"
         )
     joint = est.mask & gt.mask
+    idx = np.flatnonzero(joint)
+    ax, ay, az = (est.normals[..., c].reshape(-1).take(idx) for c in range(3))
+    bx, by, bz = (gt.normals[..., c].reshape(-1).take(idx) for c in range(3))
+    cross_sq = (ay * bz - az * by) ** 2 + (az * bx - ax * bz) ** 2 + (ax * by - ay * bx) ** 2
     # same angle as arccos of the dot product, but atan2 keeps full precision
     # near 0 degrees, where arccos bottoms out around 1e-6 deg
-    dots = np.einsum("hwc,hwc->hw", est.normals, gt.normals)
-    crosses = np.linalg.norm(np.cross(est.normals, gt.normals), axis=-1)
-    errors = np.degrees(np.arctan2(crosses, dots))
-    errors[~joint] = np.nan
-    return errors, joint
+    samples = np.degrees(np.arctan2(np.sqrt(cross_sq), ax * bx + ay * by + az * bz))
+    errors = np.full(joint.size, np.nan)
+    errors[idx] = samples
+    return errors.reshape(joint.shape), joint, samples
 
 
 def _stats_from_samples(
@@ -105,8 +109,8 @@ def compare_maps(
 
     Statistics run over the intersection of the two validity masks.
     """
-    errors, joint = _error_map_deg(est, gt)
-    return _stats_from_samples(errors[joint], errors, bin_width, max_degrees)
+    errors, _, samples = _error_map_deg(est, gt)
+    return _stats_from_samples(samples, errors, bin_width, max_degrees)
 
 
 @dataclass(frozen=True)
@@ -160,9 +164,9 @@ def compare_configs(
                 sigma, lights.m, seed=seed + (index * trials + trial) * SEED_STRIDE
             )
             est, _ = solve_map(add_noise(clean, noise), lights)
-            errors, joint = _error_map_deg(est, gt_normals)
-            pooled.append(errors[joint])
-            mean_map[joint] += errors[joint]
+            _, joint, errors = _error_map_deg(est, gt_normals)
+            pooled.append(errors)
+            mean_map[joint] += errors
             hit_count[joint] += 1
         samples = np.concatenate(pooled)
         if samples.size == 0:

@@ -74,8 +74,9 @@ def render_stack(nmap: NormalMap, amap: AlbedoMap, lights: LightConfig) -> Inten
         raise DimensionMismatchError(
             f"normal map {nmap.height}x{nmap.width} vs albedo map {amap.height}x{amap.width}"
         )
-    dots = np.einsum("hwc,mc->mhw", nmap.normals, lights.rows)
-    images = amap.values[None, :, :] * np.clip(dots, 0.0, None)
+    images = (lights.rows @ nmap.normals.reshape(-1, 3).T).reshape(lights.m, *amap.values.shape)
+    np.maximum(images, 0.0, out=images)
+    images *= amap.values
     images[:, ~nmap.mask] = 0.0
     return IntensityStack(images=images, sigmas=np.zeros(lights.m))
 

@@ -101,8 +101,8 @@ class ShapePrior:
 def inverse_gram(lights: LightConfig) -> np.ndarray:
     """(S^T S)^-1 with an explicit rank guard.
 
-    The explicit inverse is the object of interest here (the objectives and
-    their gradients are written in terms of it), unlike the solver path.
+    The explicit inverse is the object of interest here: the objectives and
+    their gradients are written in terms of it.
     """
     if rank_ratio(lights.rows) <= RANK_RTOL:
         raise SingularLightMatrixError("light matrix is rank deficient")

@@ -32,6 +32,7 @@ HEURISTIC_SEED = 0x5F3D  # baseline_heuristic_spread is deterministic per m
 # config constructible (and its phi astronomically large, as it should be)
 # while moving the pairwise angles by O(1e-14) degrees.
 HEURISTIC_RANK_FLOOR = 1e-7
+HEURISTIC_MAX_MOVE = 0.05  # per point and repulsion step
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def _tangent_gradient(rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _renormalize_rows(rows: np.ndarray) -> np.ndarray:
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
 def random_unit_rows(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -229,16 +230,23 @@ def min_pairwise_angle_deg(rows: np.ndarray) -> float:
 
 
 def _repel(points: np.ndarray, exponent: float, iters: int, step: float) -> np.ndarray:
-    """Minimize sum of inverse-power pair potentials on the sphere."""
+    """Minimize sum of inverse-power pair potentials over (starts, m, 3) points.
+
+    Points step along the tangent part of their force, -(W P - <W P, p> p) with
+    w_ij = dist_ij^-(k+2); the rest, p_i * sum_j w_ij, is radial, and raw steps
+    along it overshoot and collide points at large k.  Moves are capped too.
+    """
     pts = points.copy()
+    diagonal = np.arange(pts.shape[1])
     for _ in range(iters):
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        np.fill_diagonal(dist, np.inf)
-        # gradient of sum_{i<j} dist^-k wrt point i
-        force = np.einsum("ijc,ij->ic", diff, dist ** -(exponent + 2.0))
-        candidate = _renormalize_rows(pts + step * exponent * force)
-        pts = candidate
+        dist = np.linalg.norm(pts[:, :, None, :] - pts[:, None, :, :], axis=-1)
+        dist[:, diagonal, diagonal] = np.inf
+        pull = dist ** -(exponent + 2.0) @ pts
+        radial = np.einsum("smc,smc->sm", pull, pts)
+        move = step * exponent * (radial[..., None] * pts - pull)
+        length = np.linalg.norm(move, axis=-1, keepdims=True)
+        move *= HEURISTIC_MAX_MOVE / np.maximum(length, HEURISTIC_MAX_MOVE)
+        pts = _renormalize_rows(pts + move)
     return pts
 
 
@@ -252,19 +260,12 @@ def baseline_heuristic_spread(m: int) -> LightConfig:
     """
     if m < 3:
         raise ValueError("need at least 3 lights")
-    best_rows = None
-    best_angle = -1.0
-    for start in range(8):
-        rng = substream(HEURISTIC_SEED, 16 * m + start)
-        pts = random_unit_rows(m, rng)
-        for exponent, iters, step in ((2.0, 600, 0.05), (8.0, 500, 0.01), (24.0, 400, 0.002)):
-            pts = _repel(pts, exponent, iters, step)
-        angle = min_pairwise_angle_deg(pts)
-        if angle > best_angle:
-            best_angle = angle
-            best_rows = pts
-    rows = _ensure_rank_floor(best_rows)
-    return LightConfig(rows=rows)
+    pts = np.stack([random_unit_rows(m, substream(HEURISTIC_SEED, 16 * m + start))
+                    for start in range(8)])
+    for exponent, iters, step in ((2.0, 600, 0.05), (8.0, 500, 0.01), (24.0, 400, 0.002)):
+        pts = _repel(pts, exponent, iters, step)
+    best = int(np.argmax([min_pairwise_angle_deg(rows) for rows in pts]))
+    return LightConfig(rows=_ensure_rank_floor(pts[best]))
 
 
 def _ensure_rank_floor(rows: np.ndarray) -> np.ndarray:

@@ -74,6 +74,31 @@ class TestCompareMaps:
         assert stats.error_map.shape == (33, 33)
         assert np.isnan(stats.error_map[0, 0])  # outside the sphere
 
+    def test_sub_arccos_rotation_measured(self):
+        # arccos of the dot product reads a 1e-6 degree tilt as 0 or ~8.5e-7
+        # degrees (about 2e-7 off); the atan2 form must resolve it
+        nmap, _ = generate(SceneSpec(kind="sphere", width=21, height=21,
+                                     albedo=AlbedoSpec(value=0.9)))
+        theta = np.radians(1e-6)
+        tangent = np.cross(nmap.normals, [0.6, 0.8, 0.0])
+        tangent /= np.linalg.norm(tangent, axis=-1, keepdims=True)
+        tilted = NormalMap(normals=np.cos(theta) * nmap.normals + np.sin(theta) * tangent,
+                           mask=nmap.mask)
+        stats = compare_maps(tilted, nmap)
+        valid = stats.error_map[nmap.mask]
+        assert np.abs(valid - 1e-6).max() <= 1e-9
+        assert stats.max_deg == pytest.approx(1e-6, abs=1e-9)
+
+    def test_error_map_nan_exactly_off_joint_mask(self, rng):
+        nmap, _ = generate(SceneSpec(kind="sphere", width=19, height=17,
+                                     albedo=AlbedoSpec(value=0.9)))
+        est = NormalMap(normals=nmap.normals, mask=nmap.mask & (rng.random((17, 19)) < 0.7))
+        gt = NormalMap(normals=nmap.normals, mask=nmap.mask & (rng.random((17, 19)) < 0.7))
+        stats = compare_maps(est, gt)
+        joint = est.mask & gt.mask
+        assert np.array_equal(np.isnan(stats.error_map), ~joint)
+        assert stats.count == joint.sum()
+
     def test_dimension_mismatch(self):
         a, _ = plane_maps(8, 8)
         b, _ = plane_maps(9, 8)

@@ -77,6 +77,26 @@ class TestRenderStack:
                         expected = render_pixel(nmap.normals[r, c], amap.values[r, c], light)
                     assert stack.images[i, r, c] == pytest.approx(expected, abs=1e-15)
 
+    def test_random_rig_matches_per_pixel_oracle(self):
+        # lights on both hemispheres (clamping), varying albedo, and masked
+        # pixels whose normals would otherwise render bright
+        rng = np.random.default_rng(5)
+        normals = rng.normal(size=(6, 7, 3))
+        normals[..., 2] = np.abs(normals[..., 2]) + 0.1
+        normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+        mask = rng.random((6, 7)) < 0.7
+        albedo = rng.uniform(0.2, 1.0, size=(6, 7))
+        rows = rng.normal(size=(6, 3))
+        lights = LightConfig(rows=rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        stack = render_stack(NormalMap(normals=normals, mask=mask), AlbedoMap(values=albedo),
+                             lights)
+        assert not mask.all() and (stack.images == 0.0).any()
+        for i, light in enumerate(lights.rows):
+            for r in range(6):
+                for c in range(7):
+                    expected = render_pixel(normals[r, c], albedo[r, c], light) if mask[r, c] else 0.0
+                    assert stack.images[i, r, c] == pytest.approx(expected, abs=1e-15)
+
     def test_dimension_mismatch(self):
         nmap, _ = tiny_map()
         with pytest.raises(DimensionMismatchError):

@@ -17,7 +17,12 @@ from psdesign import (
     phi_shape_aware,
     substream,
 )
-from psdesign.optimize import min_pairwise_angle_deg, random_unit_rows
+from psdesign.core import rank_ratio
+from psdesign.optimize import (
+    HEURISTIC_RANK_FLOOR,
+    min_pairwise_angle_deg,
+    random_unit_rows,
+)
 from psdesign.scenes import SceneSpec, generate
 
 from conftest import well_conditioned_config
@@ -155,6 +160,15 @@ class TestHeuristicSpread:
         dots = cfg.rows @ cfg.rows.T
         off_diag = dots[~np.eye(4, dtype=bool)]
         assert np.abs(np.degrees(np.arccos(off_diag)) - np.degrees(np.arccos(-1.0 / 3.0))).max() < 0.1
+
+    @pytest.mark.parametrize("m", range(3, 17))
+    def test_every_m_in_envelope_gives_a_valid_rig(self, m):
+        # the repulsion used to overshoot and collide points for m >= 13
+        rows = baseline_heuristic_spread(m).rows
+        assert rows.shape == (m, 3)
+        assert np.all(np.isfinite(rows))
+        assert np.abs(np.einsum("ij,ij->i", rows, rows) - 1.0).max() <= 1e-12
+        assert rank_ratio(rows) >= HEURISTIC_RANK_FLOOR
 
     def test_deterministic(self):
         assert np.array_equal(baseline_heuristic_spread(4).rows,

@@ -168,6 +168,63 @@ class TestSolveLsq:
         assert np.abs(a.normal - b.normal).max() < 1e-12
 
 
+def reference_solve(images, rows, sigmas):
+    """Column-by-column weighted least squares and the expected validity mask."""
+    m, h, w = images.shape
+    weights = np.ones(m) if np.ptp(sigmas) == 0.0 else 1.0 / sigmas
+    flat = images.reshape(m, -1)
+    n_tilde = np.stack([
+        np.linalg.lstsq(rows * weights[:, None], flat[:, p] * weights, rcond=None)[0]
+        for p in range(h * w)
+    ])
+    norms = np.linalg.norm(n_tilde, axis=1)
+    tau = max(3.0 * sigmas.max(), 1e-6)
+    valid = ~np.any(flat < tau, axis=0) & (norms > 1e-9) & (n_tilde[:, 2] > 0.0)
+    return n_tilde.reshape(h, w, 3), valid.reshape(h, w)
+
+
+@pytest.mark.parametrize("m", [3, 6, 16])
+@pytest.mark.parametrize("sigma_kind", ["equal", "zero", "unequal"])
+def test_solve_map_matches_columnwise_lstsq(rng, m, sigma_kind):
+    sigmas = {"equal": np.full(m, 0.01), "zero": np.zeros(m),
+              "unequal": rng.uniform(0.004, 0.01, size=m)}[sigma_kind]
+    tau = max(3.0 * sigmas.max(), 1e-6)
+    back = np.array([0.3, -0.2, -0.9]) / np.linalg.norm([0.3, -0.2, -0.9])
+    if m == 3:
+        rows = lit_rows(rng, 3, back)  # every light sees the back-facing normal
+    else:
+        half = well_conditioned_rows(rng, m // 2)
+        rows = np.vstack([half, -half])  # S^T 1 = 0, so n_tilde = 0 has lit pixels
+    h, w = 5, 8
+    images = rng.uniform(0.05, 1.0, size=(m, h, w))
+    images[0, 0, 0] = 0.5 * tau  # shadowed
+    null = np.ones(m)
+    if m > 3:
+        # S^T W^2 null = 0: a lit pixel whose weighted solution is exactly zero
+        weights = np.ones(m) if sigma_kind != "unequal" else 1.0 / sigmas
+        null = weights**-2 / (weights**-2).min()
+        images[:, 0, 1] = (tau + 0.1) * null  # degenerate
+    lit_back = 0.7 * rows @ back
+    images[:, 0, 2] = lit_back + max(0.0, tau + 0.1 - lit_back.min()) * (m > 3) * null
+
+    lights = LightConfig(rows=rows)
+    nmap, amap = solve_map(IntensityStack(images=images, sigmas=sigmas), lights)
+    ref, ref_valid = reference_solve(images, rows, sigmas)
+
+    ref_norms = np.linalg.norm(ref, axis=-1)
+    assert np.array_equal(nmap.mask, ref_valid)
+    assert not nmap.mask[0, :3].any()
+    assert np.all(images[:, 0, 2] >= tau) and ref[0, 2, 2] < 0.0  # back-facing only
+    lit = ref_norms > 1e-9
+    assert np.all(np.abs(amap.values - ref_norms)[lit] <= 1e-12 * ref_norms[lit])
+    if m > 3:
+        assert np.all(images[:, 0, 1] >= tau) and amap.values[0, 1] <= 1e-9
+    est = amap.values[..., None] * nmap.normals
+    err = np.linalg.norm(est - ref, axis=-1)
+    assert np.all(err[nmap.mask] <= 1e-12 * ref_norms[nmap.mask])
+    assert np.all(nmap.normals[~nmap.mask] == [0.0, 0.0, 1.0])
+
+
 class TestSolveMap:
     def sphere(self, side=33, albedo=0.9):
         return generate(SceneSpec(kind="sphere", width=side, height=side,
