@@ -34,6 +34,7 @@ from .core import (
     PhotometryError,
     RankCollapseError,
     SingularLightMatrixError,
+    freeze,
 )
 from .evaluate import AngularErrorStats, compare_configs, compare_maps
 from .forward import NoiseSpec, add_noise, render_stack, substream
@@ -374,7 +375,7 @@ def cmd_solve(sidecar_path, out_dir, image_paths=None) -> int:
         if img.ndim != 2:
             raise FileFormatError(f"{p}: expected a 1-channel intensity image")
         images.append(img.astype(float))
-    stack = IntensityStack(images=np.stack(images), sigmas=sigmas)
+    stack = IntensityStack(images=freeze(np.stack(images)), sigmas=sigmas)
     nmap, amap = solve_map(stack, lights)
     out = _ensure_outdir(out_dir)
     export_normal_map(os.path.join(out, "normals.pfm"), nmap)

@@ -2,6 +2,12 @@
 
 All types are immutable after construction (frozen dataclasses over read-only
 numpy arrays) and may be shared freely across threads.
+
+An array is adopted, not copied, when it is sealed: a read-only view of
+read-only memory, of the right dtype.  The library seals the fresh buffers it
+builds (``freeze``) and every array these types hold; any other array is
+copied.  Adoption skips only the copy: NormalMap validates on every
+construction.
 """
 
 from __future__ import annotations
@@ -60,10 +66,21 @@ class InvalidSpecError(PhotometryError):
     """A scene or run specification fails validation."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
+def freeze(a: np.ndarray) -> np.ndarray:
+    """Seal a fresh buffer that nothing else holds: make its memory read-only
+    and return a read-only view of it, which cannot be made writeable again."""
+    if a.base is not None:
+        a.base.flags.writeable = False
+    a.flags.writeable = False
+    return a.view()
+
+
+def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    """``a`` itself when it is sealed and of ``dtype``, else a sealed copy."""
+    if (a.dtype == dtype and not a.flags.writeable
+            and isinstance(a.base, np.ndarray) and not a.base.flags.writeable):
+        return a
+    return freeze(np.array(a, dtype=dtype, copy=True))
 
 
 def normalize(v) -> tuple[np.ndarray, float]:
@@ -169,9 +186,7 @@ class NormalMap:
             if np.any(valid[:, 2] <= 0.0):
                 raise InvalidSpecError("valid normals must face the camera (z > 0)")
         object.__setattr__(self, "normals", _readonly(normals))
-        mask = mask.copy()
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "mask", _readonly(mask, dtype=bool))
 
     @property
     def height(self) -> int:

@@ -27,7 +27,8 @@ from .solver import solve_map
 DEFAULT_BIN_WIDTH = 0.5
 DEFAULT_MAX_DEGREES = 30.0
 # Noise substreams are strided so per-image offsets (seed + image index) never
-# collide across trials or configs; m <= 16 per the design envelope.
+# collide across trials or configs, which holds while m <= SEED_STRIDE; the
+# design envelope is m <= 16.
 SEED_STRIDE = 64
 
 
@@ -139,10 +140,17 @@ def compare_configs(
     with ground truth.  Samples are pooled across trials; each row also
     records the shape-aware objective under the scene's prior.  Configs whose
     objective is not finite at working precision are reported with
-    note="singular" and no error statistics.
+    note="singular" and no error statistics.  A config with more than
+    SEED_STRIDE lights raises DimensionMismatchError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for name, lights in configs.items():
+        if lights.m > SEED_STRIDE:
+            raise DimensionMismatchError(
+                f"config {name!r} has {lights.m} lights; the noise streams of "
+                f"consecutive trials overlap beyond {SEED_STRIDE}"
+            )
     if prior is None:
         prior = build_shape_prior(gt_normals)
     results = []

@@ -26,6 +26,7 @@ from .core import (
     LightConfig,
     NonPositiveSigmaError,
     NormalMap,
+    freeze,
 )
 
 DEGENERATE_NORM = 1e-9
@@ -135,7 +136,9 @@ def solve_map(stack: IntensityStack, lights: LightConfig) -> tuple[NormalMap, Al
     n_tilde, norms, _, ok = _solve_columns(stack.images.reshape(stack.m, -1), lights, stack.sigmas)
     valid = ok & (n_tilde[2] > 0.0)
     n_tilde /= np.where(valid, norms, 1.0)
-    n_tilde[:, ~valid] = CAMERA_AXIS[:, None]
-    # (3, P) transposed is a strided view of the (H, W, 3) map, not a copy
-    nmap = NormalMap(normals=n_tilde.T.reshape(h, w_px, 3), mask=valid.reshape(h, w_px))
-    return nmap, AlbedoMap(values=norms.reshape(h, w_px))
+    np.copyto(n_tilde, CAMERA_AXIS[:, None], where=~valid)
+    # the maps adopt these fresh buffers; (3, P) transposed is a strided view
+    # of the (H, W, 3) map, not a copy
+    nmap = NormalMap(normals=freeze(n_tilde).T.reshape(h, w_px, 3),
+                     mask=freeze(valid).reshape(h, w_px))
+    return nmap, AlbedoMap(values=freeze(norms).reshape(h, w_px))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from psdesign import (
+    AlbedoMap,
     DegenerateVectorError,
     DimensionMismatchError,
     IntensityStack,
@@ -12,7 +13,7 @@ from psdesign import (
     SingularLightMatrixError,
     normalize,
 )
-from psdesign.core import require_spd, InvalidSpecError
+from psdesign.core import freeze, require_spd, InvalidSpecError
 
 
 class TestNormalize:
@@ -132,6 +133,88 @@ class TestIntensityStack:
 
         with pytest.raises(NonPositiveSigmaError):
             IntensityStack(images=np.zeros((2, 1, 1)), sigmas=[-0.1, 0.0])
+
+
+def up_normals(h=3, w=4):
+    normals = np.zeros((h, w, 3))
+    normals[..., 2] = 1.0
+    return normals
+
+
+# each type with a factory of writable inputs and the names of its arrays
+MAP_TYPES = {
+    "IntensityStack": (lambda: dict(images=np.random.default_rng(1).random((3, 4, 5)),
+                                    sigmas=np.full(3, 0.1)),
+                       IntensityStack, ("images", "sigmas")),
+    "NormalMap": (lambda: dict(normals=up_normals(), mask=np.ones((3, 4), bool)),
+                  NormalMap, ("normals", "mask")),
+    "AlbedoMap": (lambda: dict(values=np.full((3, 4), 0.5)), AlbedoMap, ("values",)),
+}
+
+
+class TestAdoption:
+    """Sealed buffers are adopted; everything a caller can still write is copied."""
+
+    @pytest.mark.parametrize("kind", sorted(MAP_TYPES))
+    def test_later_writes_to_inputs_do_not_leak(self, kind):
+        build, cls, names = MAP_TYPES[kind]
+        inputs = build()
+        obj = cls(**inputs)
+        before = {n: getattr(obj, n).copy() for n in names}
+        for n in names:
+            inputs[n][...] = 0
+        for n in names:
+            assert np.array_equal(getattr(obj, n), before[n])
+
+    @pytest.mark.parametrize("kind", sorted(MAP_TYPES))
+    def test_read_only_input_the_caller_can_unlock_is_copied(self, kind):
+        build, cls, names = MAP_TYPES[kind]
+        inputs = build()
+        for a in inputs.values():
+            a.flags.writeable = False
+        obj = cls(**inputs)
+        for n in names:
+            assert not np.shares_memory(getattr(obj, n), inputs[n])
+
+    @pytest.mark.parametrize("kind", sorted(MAP_TYPES))
+    def test_arrays_reject_writes(self, kind):
+        build, cls, names = MAP_TYPES[kind]
+        obj = cls(**build())
+        for n in names:
+            a = getattr(obj, n)
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+
+    @pytest.mark.parametrize("kind", sorted(MAP_TYPES))
+    def test_sealed_arrays_are_adopted(self, kind):
+        build, cls, names = MAP_TYPES[kind]
+        first = cls(**build())
+        second = cls(**{n: getattr(first, n) for n in names})
+        for n in names:
+            assert getattr(second, n) is getattr(first, n)
+
+    def test_writable_view_of_read_only_memory_is_copied(self):
+        memory = np.full((3, 4), 0.5)
+        view = memory[:]
+        memory.flags.writeable = False  # the view stays writable
+        amap = AlbedoMap(values=view)
+        view[0, 0] = 0.9
+        assert amap.values[0, 0] == 0.5
+
+    def test_sealed_buffer_of_another_dtype_is_copied(self):
+        sealed = freeze(np.ones((2, 2), dtype=np.float32))
+        amap = AlbedoMap(values=sealed)
+        assert amap.values.dtype == np.float64
+        assert not np.shares_memory(amap.values, sealed)
+
+    @pytest.mark.parametrize("bad", [(0.0, 0.6, 0.6), (0.0, 0.0, -1.0)])
+    def test_adopted_normals_are_still_validated(self, bad):
+        normals = up_normals()
+        normals[1, 2] = bad  # not unit, then facing away from the camera
+        with pytest.raises(InvalidSpecError):
+            NormalMap(normals=freeze(normals), mask=freeze(np.ones((3, 4), bool)))
 
 
 def test_require_spd():

@@ -160,6 +160,25 @@ class TestCompareConfigs:
         assert table[0].note == "no-valid-pixels"
         assert table[0].stats is None
 
+    def test_more_lights_than_seed_stride_rejected(self):
+        from psdesign import PhotometryError
+        from psdesign.evaluate import SEED_STRIDE
+
+        nmap, amap = self.scene()
+        rng = np.random.default_rng(4)
+        for m, fails in ((SEED_STRIDE, False), (SEED_STRIDE + 1, True)):
+            rows = rng.normal(size=(m, 3))
+            rows[:, 2] = np.abs(rows[:, 2]) + 1.0
+            configs = {"triad": baseline_orthogonal_triad(),
+                       "many": LightConfig(rows=rows / np.linalg.norm(rows, axis=1, keepdims=True))}
+            if fails:
+                with pytest.raises(DimensionMismatchError) as err:
+                    compare_configs(nmap, amap, configs, sigma=0.01, trials=2, seed=3)
+                assert isinstance(err.value, PhotometryError) and "'many'" in str(err.value)
+            else:
+                table = compare_configs(nmap, amap, configs, sigma=0.01, trials=2, seed=3)
+                assert [row.name for row in table] == ["triad", "many"]
+
 
 def test_pooled_mse_matches_covariance_trace():
     # frontal plane and an orthogonal triad: every light sees every pixel,

@@ -1,5 +1,16 @@
+import hashlib
+import os
+import subprocess
+import sys
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import psdesign
+from psdesign import forward
 
 from psdesign import (
     AlbedoMap,
@@ -11,6 +22,8 @@ from psdesign import (
     add_noise,
     render_pixel,
     render_stack,
+    solve_map,
+    substream,
 )
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
 
@@ -97,6 +110,23 @@ class TestRenderStack:
                     expected = render_pixel(normals[r, c], albedo[r, c], light) if mask[r, c] else 0.0
                     assert stack.images[i, r, c] == pytest.approx(expected, abs=1e-15)
 
+    def test_nan_normals_at_masked_out_pixels_render_zero(self):
+        normals = np.zeros((3, 4, 3))
+        normals[..., 2] = 1.0
+        normals[1, 2] = np.nan
+        normals[2, 3] = (np.inf, -np.inf, np.nan)
+        mask = np.ones((3, 4), bool)
+        mask[1, 2] = mask[2, 3] = mask[0, 1] = False
+        albedo = np.full((3, 4), 0.7)
+        albedo[0, 1] = np.nan
+        lights = LightConfig(rows=np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.6, 0.8]]))
+        with np.errstate(invalid="ignore"):
+            stack = render_stack(NormalMap(normals=normals, mask=mask),
+                                 AlbedoMap(values=albedo), lights)
+        off = stack.images[:, ~mask]
+        assert np.all(off == 0.0) and not np.signbit(off).any()
+        assert np.all(stack.images[:, mask] > 0.0)
+
     def test_dimension_mismatch(self):
         nmap, _ = tiny_map()
         with pytest.raises(DimensionMismatchError):
@@ -156,3 +186,151 @@ class TestAddNoise:
         stack = IntensityStack(images=np.zeros((1, 64, 64)), sigmas=np.zeros(1))
         noisy = add_noise(stack, NoiseSpec(sigmas=[0.5], seed=1))
         assert (noisy.images < 0.0).any()
+
+
+NOISE_SEED = 2024
+# large enough that add_noise fills the images on threads when it may use
+# more than one CPU
+NOISE_SHAPE = (256, 260)
+
+
+def noise_case(m: int):
+    """A random clean stack and a noise spec with sigma = 0 for image 1."""
+    rng = np.random.default_rng(m)
+    sigmas = rng.uniform(0.005, 0.2, size=m)
+    sigmas[1] = 0.0
+    stack = IntensityStack(images=rng.random((m, *NOISE_SHAPE)), sigmas=np.zeros(m))
+    return stack, NoiseSpec(sigmas=sigmas, seed=NOISE_SEED + m)
+
+
+def noise_digest(m: int) -> str:
+    stack, spec = noise_case(m)
+    return hashlib.sha256(add_noise(stack, spec).images.tobytes()).hexdigest()
+
+
+def child_env() -> dict:
+    """Environment for a child Python that imports psdesign and this module."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(psdesign.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+
+
+# Runs noise_digest in a process that may use one CPU only.
+ONE_CPU_CHILD = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from psdesign import forward
+from test_forward import noise_digest
+print(noise_digest(int(sys.argv[1])))
+assert forward._POOL is None, "one CPU must fill the images in a plain loop"
+"""
+
+
+class TestNoiseExactness:
+    @pytest.mark.parametrize("m", [3, 16])
+    def test_equals_per_image_normal_draws(self, m):
+        assert NOISE_SHAPE[0] * NOISE_SHAPE[1] >= forward.PARALLEL_MIN_PIXELS
+        stack, spec = noise_case(m)
+        clean = stack.images.tobytes()
+        noisy = add_noise(stack, spec)
+        for i, sigma in enumerate(spec.sigmas):
+            expected = stack.images[i] + substream(spec.seed, i).normal(0.0, sigma, NOISE_SHAPE)
+            assert noisy.images[i].tobytes() == expected.tobytes()
+        assert stack.images.tobytes() == clean
+        assert noisy.images[1].tobytes() == stack.images[1].tobytes()
+        with pytest.raises(ValueError):
+            noisy.images[0, 0, 0] = 0.0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity control on this platform")
+    @pytest.mark.parametrize("m", [3, 16])
+    def test_same_bytes_on_one_cpu(self, m):
+        child = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD, str(m)], env=child_env(),
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == noise_digest(m)
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        import concurrent.futures
+
+        created = []
+
+        class CountedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                time.sleep(0.05)  # widens the window a check-then-create race needs
+                super().__init__(*args, **kwargs)
+
+        expected = {m: noise_digest(m) for m in (3, 6)}
+        monkeypatch.setattr(forward, "_POOL", None)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        callers = 4 * max(2, os.cpu_count() or 1)  # more threads than CPUs
+        start = threading.Barrier(callers)
+        got = [None] * callers
+
+        def call(k):
+            start.wait()
+            got[k] = noise_digest((3, 6)[k % 2])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(k,)) for k in range(callers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [expected[(3, 6)[k % 2]] for k in range(callers)]
+        assert len(created) == (1 if forward._cpu_count() > 1 else 0)
+        if created:
+            created[0].shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_fills_noise(self):
+        # the child inherits the pool object without its threads; with a
+        # stale pool its add_noise would wait forever, so the alarm ends it
+        child = subprocess.run([sys.executable, "-c", FORK_CHILD], env=child_env(),
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+
+
+FORK_CHILD = """
+import os, signal
+from test_forward import noise_digest
+expected = noise_digest(16)  # creates the pool on more than one CPU
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)
+    os._exit(0 if noise_digest(16) == expected else 1)
+_, status = os.waitpid(pid, 0)
+raise SystemExit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def traced_peak(run):
+    """Peak bytes numpy and Python allocate while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_frame_path_writes_each_stack_once():
+    # a copy anywhere in a stage would at least double its peak allocation
+    nmap, amap = generate(SceneSpec(kind="sphere", width=64, height=64))
+    rows = np.random.default_rng(8).normal(size=(16, 3))
+    rows[:, 2] = np.abs(rows[:, 2]) + 1.0
+    lights = LightConfig(rows=rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    clean = render_stack(nmap, amap, lights)
+    stack_bytes = clean.images.nbytes
+    assert traced_peak(lambda: render_stack(nmap, amap, lights)) < 1.25 * stack_bytes
+    noise = NoiseSpec.uniform(0.01, 16, seed=1)
+    assert traced_peak(lambda: add_noise(clean, noise)) < 1.25 * stack_bytes
+    est, albedo = solve_map(clean, lights)
+    map_bytes = est.normals.nbytes + est.mask.nbytes + albedo.values.nbytes
+    assert traced_peak(lambda: solve_map(clean, lights)) < 2.0 * map_bytes
