@@ -35,6 +35,7 @@ from .oed import (
     chi_square_quantile,
     confidence_region,
     covariance,
+    phi_lower_bound,
     phi_shape_agnostic,
     phi_shape_aware,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "normalize",
     "optimize_lights",
     "phi_gradient",
+    "phi_lower_bound",
     "phi_shape_agnostic",
     "phi_shape_aware",
     "render_pixel",

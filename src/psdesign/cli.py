@@ -38,7 +38,7 @@ from .core import (
 )
 from .evaluate import AngularErrorStats, compare_configs, compare_maps
 from .forward import NoiseSpec, add_noise, render_stack, substream
-from .oed import ShapePrior, build_shape_prior
+from .oed import ShapePrior, build_shape_prior, phi_lower_bound
 from .optimize import (
     OptimizerConfig,
     baseline_heuristic_spread,
@@ -283,6 +283,7 @@ REPORT_SCHEMA = {
             "required": [
                 "phi_initial", "phi_final", "phi_trajectory",
                 "iterations_used", "converged", "gradient_norm_final",
+                "phi_lower_bound", "optimality_gap",
             ],
             "properties": {
                 "phi_initial": {"type": "number"},
@@ -291,6 +292,8 @@ REPORT_SCHEMA = {
                 "iterations_used": {"type": "integer", "minimum": 0},
                 "converged": {"type": "boolean"},
                 "gradient_norm_final": {"type": "number"},
+                "phi_lower_bound": {"type": "number", "minimum": 0},
+                "optimality_gap": {"type": "number", "minimum": 0},
             },
         },
         "comparison": {
@@ -412,6 +415,8 @@ def cmd_optimize(cfg: RunConfig, shape_agnostic: bool = False) -> int:
         "iterations_used": report.iterations_used,
         "converged": report.converged,
         "gradient_norm_final": _json_float(report.gradient_norm_final),
+        "phi_lower_bound": phi_lower_bound(prior.m_agg, initial.m),
+        "optimality_gap": _json_float(report.optimality_gap),
     })
     print(
         f"optimized in {report.iterations_used} iterations: "
@@ -499,6 +504,8 @@ def cmd_pipeline(cfg: RunConfig) -> int:
             "iterations_used": opt.iterations_used,
             "converged": opt.converged,
             "gradient_norm_final": _json_float(opt.gradient_norm_final),
+            "phi_lower_bound": phi_lower_bound(prior.m_agg, initial.m),
+            "optimality_gap": _json_float(opt.optimality_gap),
         },
         "comparison": [
             {"name": row.name, "phi": _json_float(row.phi), "note": row.note,

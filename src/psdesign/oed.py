@@ -182,6 +182,19 @@ def phi_shape_aware(lights: LightConfig, prior: ShapePrior) -> float:
     return float(np.trace(prior.m_agg @ inverse_gram(lights)))
 
 
+def phi_lower_bound(m_agg, m: int) -> float:
+    """Infimum (tr M^1/2)^2 / m of trace(M (S^T S)^-1) over m unit rows.
+
+    Unit rows fix trace(S^T S) = m, and trace(M G^-1) over trace(G) = m is
+    smallest at G = m M^1/2 / tr M^1/2.  Every such G is a Gram S^T S of unit
+    rows (Schur-Horn), so no rig scores below the bound, and rigs at it exist
+    whenever M is positive definite.  Roundoff below zero in the eigenvalues
+    of M is clipped.
+    """
+    root_trace = float(np.sqrt(np.clip(np.linalg.eigvalsh(m_agg), 0.0, None)).sum())
+    return root_trace * root_trace / m
+
+
 def build_shape_prior(nmap: NormalMap) -> ShapePrior:
     """Average B^T B over valid pixels of a normal map.
 

@@ -6,10 +6,17 @@ unconstrained problem is ill-posed; rows are constrained to the unit sphere
 (pure direction choice at fixed source power).  Descent is projected gradient
 with Armijo backtracking: project the Euclidean gradient onto each row's
 tangent plane, step, renormalize rows.
+
+The infimum phi* = (tr M^1/2)^2 / m over unit rows is known in closed form
+(``oed.phi_lower_bound``), so it is the stopping certificate: a descent stops,
+converged, once phi <= phi* (1 + OPTIMALITY_RTOL), and the restarts left after
+a certified result are skipped.  When phi* is not attained (M singular, as for
+a true plane) the gradient tolerance and max_iters still end each descent.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +29,13 @@ from .core import (
     rank_ratio,
 )
 from .forward import substream
-from .oed import ShapePrior, inverse_gram
+from .oed import ShapePrior, inverse_gram, phi_lower_bound
 
 ARMIJO_DECREASE = 1e-4
 MIN_STEP = 1e-15
+# Certified optimal: phi within this share of phi*.  No rig scores below phi*,
+# so no later restart can improve on a certified result by more than this.
+OPTIMALITY_RTOL = 1e-12
 HEURISTIC_SEED = 0x5F3D  # baseline_heuristic_spread is deterministic per m
 # Rank floor for the heuristic spread: the 3-light optimum is exactly coplanar,
 # which LightConfig rejects; nudging to this singular-value ratio keeps the
@@ -67,6 +77,7 @@ class OptimizationReport:
     iterations_used: int = 0
     converged: bool = False
     gradient_norm_final: float = float("inf")
+    optimality_gap: float = float("inf")  # phi_final - phi*, >= 0
 
 
 def phi_gradient(lights: LightConfig, prior: ShapePrior) -> np.ndarray:
@@ -126,18 +137,18 @@ def random_hemisphere_rows(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _descend(
-    rows: np.ndarray, m_agg: np.ndarray, cfg: OptimizerConfig
+    rows: np.ndarray, m_agg: np.ndarray, cfg: OptimizerConfig, phi_certified: float
 ) -> tuple[np.ndarray, list[float], int, bool, float]:
     phi = _phi_of_rows(rows, m_agg)
     trajectory = [phi]
-    grad_norm = float("inf")
-    converged = False
     iterations = 0
-    while iterations < cfg.max_iters:
+    while True:
+        # tested at every iterate, the last one too, so that converged and
+        # grad_norm describe the rows returned
         tangent = _tangent_gradient(rows, _raw_gradient(rows, m_agg))
         grad_norm = float(np.linalg.norm(tangent))
-        if grad_norm < cfg.grad_tol:
-            converged = True
+        converged = phi <= phi_certified or grad_norm < cfg.grad_tol
+        if converged or iterations == cfg.max_iters:
             break
         step = cfg.step_size
         accepted = False
@@ -171,11 +182,17 @@ def optimize_lights(
     """Projected gradient descent on the shape-aware objective.
 
     Restart 0 starts from ``initial``; restarts 1..r-1 start from seeded
-    uniformly random unit-row configurations.  The lowest final objective
-    wins; ties within 1e-12 keep the earliest restart.
+    uniformly random unit-row configurations.  Each descent stops, converged,
+    once phi <= phi* (1 + OPTIMALITY_RTOL) or its tangent gradient norm falls
+    below ``cfg.grad_tol``.  The lowest final objective wins; ties within
+    1e-12 keep the earliest restart, and once the best result is certified
+    within OPTIMALITY_RTOL of phi* the remaining restarts are not run, since
+    none could improve on it by more than phi* * OPTIMALITY_RTOL.
     """
     if not initial.unit_norm:
         raise NonUnitRowsError("the optimizer requires a unit-norm light configuration")
+    bound = phi_lower_bound(prior.m_agg, initial.m)
+    phi_certified = bound * (1.0 + OPTIMALITY_RTOL)
     best = None
     for restart in range(cfg.restarts):
         if restart == 0:
@@ -183,12 +200,14 @@ def optimize_lights(
         else:
             start = random_unit_rows(initial.m, substream(cfg.seed, restart))
         rows, trajectory, iterations, converged, grad_norm = _descend(
-            start, prior.m_agg, cfg
+            start, prior.m_agg, cfg, phi_certified
         )
         result = (trajectory[-1], restart, rows, trajectory, iterations, converged, grad_norm)
         if best is None or result[0] < best[0] - 1e-12:
             best = result
-    _, _, rows, trajectory, iterations, converged, grad_norm = best
+        if best[0] <= phi_certified:
+            break
+    phi, _, rows, trajectory, iterations, converged, grad_norm = best
     # The objective only sees rows through their outer products, so it is
     # exactly invariant to per-row sign flips; report the camera-facing
     # representative (z >= 0), which is the one an imaging rig can use.
@@ -200,6 +219,7 @@ def optimize_lights(
         iterations_used=iterations,
         converged=converged,
         gradient_norm_final=grad_norm,
+        optimality_gap=max(phi - bound, 0.0),  # below 0 is roundoff: phi* bounds phi
     )
 
 
@@ -250,6 +270,7 @@ def _repel(points: np.ndarray, exponent: float, iters: int, step: float) -> np.n
     return pts
 
 
+@functools.lru_cache(maxsize=64)
 def baseline_heuristic_spread(m: int) -> LightConfig:
     """m unit directions maximizing the minimal pairwise angle (repulsion descent).
 
@@ -257,6 +278,9 @@ def baseline_heuristic_spread(m: int) -> LightConfig:
     is rank deficient; the result is nudged out of plane to a singular-value
     ratio of ~1e-7 so it remains a constructible configuration whose objective
     value is finite but enormous.
+
+    The result depends on m alone (HEURISTIC_SEED) and a LightConfig is
+    immutable, so one is computed per m and shared by every caller.
     """
     if m < 3:
         raise ValueError("need at least 3 lights")

@@ -81,7 +81,10 @@ def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas):
     pinv = np.linalg.pinv(design, rcond=max(design.shape) * np.finfo(float).eps) * w
     n_tilde = pinv @ flat
     norms = np.sqrt(np.einsum("cp,cp->p", n_tilde, n_tilde))
-    ok = ~np.any(flat < tau, axis=0) & (norms > DEGENERATE_NORM)
+    lit = flat[0] >= tau  # row by row, so no (m, P) temporary is made
+    for row in flat[1:]:
+        lit &= row >= tau
+    ok = lit & (norms > DEGENERATE_NORM)
     return n_tilde, norms, w, ok
 
 

@@ -172,6 +172,29 @@ def test_pipeline_noisy_and_deterministic(tmp_path):
     assert rows["optimized"]["mean_deg"] <= rows["initial"]["mean_deg"]
 
 
+def test_reports_carry_optimality_certificate(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, scene={
+        "kind": "paraboloid", "width": 33, "height": 33,
+        "params": {}, "albedo": {"kind": "constant", "value": 0.9},
+    }, lights={"baseline": "random", "m": 6}, noise={"sigma": 0.01},
+        optimizer={"max_iters": 4000, "restarts": 2}, trials=2)
+    out = tmp_path / "pipe"
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
+    opt = json.loads((out / "report.json").read_text())["optimization"]
+    assert opt["converged"] is True
+    assert 0.0 <= opt["optimality_gap"] <= 1e-12 * opt["phi_lower_bound"]
+    assert opt["phi_final"] - opt["phi_lower_bound"] <= 1e-12 * opt["phi_lower_bound"]
+
+    opt_out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(cfg_path), "--shape-agnostic",
+                 "--out", str(opt_out)]) == 0
+    report = json.loads((opt_out / "optimize_report.json").read_text())
+    assert report["phi_lower_bound"] == 1.5  # (tr I^1/2)^2 / 6
+    assert report["converged"] is True
+    assert 0.0 <= report["optimality_gap"] <= 1e-12 * 1.5
+
+
 def test_evaluate_command(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, scene={

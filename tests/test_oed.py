@@ -15,11 +15,13 @@ from psdesign import (
     chi_square_quantile,
     confidence_region,
     covariance,
+    phi_lower_bound,
     phi_shape_agnostic,
     phi_shape_aware,
     substream,
 )
 from psdesign.core import DegenerateVectorError, EmptyMaskError
+from psdesign.optimize import baseline_orthogonal_triad, random_unit_rows
 from psdesign.solver import PixelEstimate
 
 from conftest import well_conditioned_config
@@ -249,6 +251,33 @@ class TestPhi:
             assert phi_shape_agnostic(rotated) == pytest.approx(
                 phi_shape_agnostic(lights), rel=1e-9
             )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=9, max_size=9),
+    st.integers(3, 16),
+    st.integers(0, 2**32 - 1),
+)
+def test_no_unit_rig_scores_below_lower_bound(entries, m, rig_seed):
+    b = np.array(entries).reshape(3, 3)
+    m_agg = b.T @ b
+    prior = ShapePrior(m_agg=0.5 * (m_agg + m_agg.T), pixel_count=1)
+    lights = LightConfig(rows=random_unit_rows(m, substream(rig_seed, 0)))
+    bound = phi_lower_bound(prior.m_agg, m)
+    assert phi_shape_aware(lights, prior) >= bound * (1.0 - 1e-12)
+
+
+class TestPhiLowerBound:
+    def test_closed_form(self):
+        assert phi_lower_bound(np.eye(3), 3) == 3.0
+        assert phi_lower_bound(np.diag([4.0, 1.0, 0.0]), 6) == pytest.approx(1.5, rel=1e-15)
+        assert phi_lower_bound(np.zeros((3, 3)), 4) == 0.0
+
+    def test_attained_by_orthogonal_triad(self):
+        # S^T S = I is the optimal Gram of the identity prior at m = 3
+        lights = baseline_orthogonal_triad()
+        assert phi_shape_agnostic(lights) == pytest.approx(phi_lower_bound(np.eye(3), 3), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,30 @@ import pytest
 
 from psdesign import (
     LightConfig,
+    NoiseSpec,
     NonUnitRowsError,
     OptimizerConfig,
     ShapePrior,
     SingularLightMatrixError,
+    add_noise,
     baseline_heuristic_spread,
     baseline_orthogonal_triad,
     baseline_random,
     build_shape_prior,
     optimize_lights,
     phi_gradient,
+    phi_lower_bound,
     phi_shape_agnostic,
     phi_shape_aware,
+    render_stack,
+    solve_map,
     substream,
 )
+from psdesign import optimize
 from psdesign.core import rank_ratio
 from psdesign.optimize import (
     HEURISTIC_RANK_FLOOR,
+    OPTIMALITY_RTOL,
     min_pairwise_angle_deg,
     random_unit_rows,
 )
@@ -119,6 +126,84 @@ class TestOptimizeLights:
         assert a.phi_trajectory == b.phi_trajectory
 
 
+def estimated_prior(kind: str) -> ShapePrior:
+    """Prior of a noisy 32x32 estimate, as the pipeline builds it: a plane's
+    estimate is not exactly flat, so its M is positive definite."""
+    gt, albedo = generate(SceneSpec(kind=kind, width=32, height=32))
+    lights = baseline_orthogonal_triad()
+    stack = add_noise(render_stack(gt, albedo, lights), NoiseSpec.uniform(0.01, 3, seed=4))
+    return build_shape_prior(solve_map(stack, lights)[0])
+
+
+@pytest.fixture
+def restart_starts(monkeypatch):
+    """Counts the random restart starts optimize_lights draws."""
+    calls = []
+
+    def counting(m, rng):
+        calls.append(m)
+        return random_unit_rows(m, rng)
+
+    monkeypatch.setattr(optimize, "random_unit_rows", counting)
+    return calls
+
+
+class TestOptimalityCertificate:
+    @pytest.mark.parametrize("m", [3, 6, 16])
+    @pytest.mark.parametrize("kind", ["identity", "sphere", "paraboloid", "plane"])
+    def test_certified_and_later_restarts_skipped(self, kind, m, restart_starts):
+        prior = ShapePrior.identity() if kind == "identity" else estimated_prior(kind)
+        start = LightConfig(rows=random_unit_rows(m, substream(41, m)))
+        report = optimize_lights(start, prior,
+                                 OptimizerConfig(max_iters=4000, restarts=3, seed=8))
+        bound = phi_lower_bound(prior.m_agg, m)
+        assert report.converged
+        assert report.optimality_gap == max(report.phi_trajectory[-1] - bound, 0.0)
+        assert 0.0 <= report.optimality_gap <= OPTIMALITY_RTOL * bound
+        assert restart_starts == []  # restart 0 was certified; 1 and 2 never ran
+
+    def test_restarts_stop_at_first_certified(self, restart_starts):
+        # e1, e2, e3, e3 is stationary (zero tangent gradient) at phi 2.5 > phi* 2.25,
+        # so restart 0 converges uncertified and restart 1 certifies
+        start = LightConfig(rows=np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]]))
+        report = optimize_lights(start, ShapePrior.identity(),
+                                 OptimizerConfig(restarts=4, seed=3))
+        assert restart_starts == [4]
+        assert report.phi_trajectory[-1] < 2.5
+        assert 0.0 <= report.optimality_gap <= OPTIMALITY_RTOL * 2.25
+
+    def test_start_at_bound_takes_no_iterations(self, restart_starts):
+        report = optimize_lights(identity_triad(), ShapePrior.identity(),
+                                 OptimizerConfig(restarts=3))
+        assert report.iterations_used == 0
+        assert report.converged
+        assert report.phi_trajectory == [3.0]
+        assert report.optimality_gap == 0.0
+        assert report.gradient_norm_final < 1e-12
+        assert restart_starts == []
+
+    def test_max_iters_exit_reports_the_returned_rows(self):
+        prior = ShapePrior(m_agg=np.diag([0.2, 0.5, 0.9]), pixel_count=1)
+        start = LightConfig(rows=random_unit_rows(4, substream(1, 0)))
+        report = optimize_lights(start, prior, OptimizerConfig(max_iters=5))
+        grad = phi_gradient(report.final_s, prior)
+        rows = report.final_s.rows
+        tangent = grad - np.einsum("ij,ij->i", grad, rows)[:, None] * rows
+        assert report.iterations_used == 5
+        assert not report.converged
+        assert report.gradient_norm_final == pytest.approx(np.linalg.norm(tangent), rel=1e-9)
+
+    def test_singular_prior_never_certifies(self, restart_starts):
+        # a true plane: M = diag(0, 1, 1) is singular and phi* is not attained
+        prior = ShapePrior(m_agg=np.diag([0.0, 1.0, 1.0]), pixel_count=1)
+        start = LightConfig(rows=random_unit_rows(4, substream(6, 0)))
+        report = optimize_lights(start, prior,
+                                 OptimizerConfig(max_iters=150, restarts=3, seed=2))
+        assert restart_starts == [4, 4]
+        assert report.optimality_gap > OPTIMALITY_RTOL * phi_lower_bound(prior.m_agg, 4)
+        assert not report.converged
+
+
 class TestBaselineRandom:
     def test_single_sample_reproducible(self):
         one = baseline_random(1, 3, ShapePrior.identity(), seed=9)
@@ -173,6 +258,15 @@ class TestHeuristicSpread:
     def test_deterministic(self):
         assert np.array_equal(baseline_heuristic_spread(4).rows,
                               baseline_heuristic_spread(4).rows)
+
+    def test_cached_rig_is_shared_and_sealed(self):
+        cached = baseline_heuristic_spread(5)
+        assert baseline_heuristic_spread(5) is cached
+        assert np.array_equal(baseline_heuristic_spread.__wrapped__(5).rows, cached.rows)
+        with pytest.raises(ValueError):
+            cached.rows[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            cached.rows.flags.writeable = True
 
 
 class TestOrthogonalTriad:

@@ -18,6 +18,7 @@ from psdesign import (
 )
 from psdesign.core import NonPositiveSigmaError
 from psdesign.oed import b_matrix
+from psdesign.solver import DEGENERATE_NORM, _solve_columns
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
 
 from conftest import well_conditioned_config, well_conditioned_rows
@@ -249,6 +250,20 @@ class TestSolveMap:
             [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]))
         est, _ = solve_map(render_stack(nmap, amap, lights), lights)
         assert not est.mask[0, 0]
+
+    def test_shadow_mask_at_tau_and_nan(self):
+        # tau = 3 * sigma; the mask equals the (m, P) boolean formulation it replaced
+        lights = LightConfig(rows=np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.6, 0.8]]))
+        sigmas, tau = np.full(3, 0.01), 0.03
+        flat = np.full((3, 5), 0.5)
+        flat[:2, 1] = tau  # exactly at tau: lit
+        flat[2, 2] = np.nextafter(tau, 0.0)  # just below: shadowed
+        flat[0, 3] = np.nan  # NaN: fails through its NaN norm
+        flat[:, 4] = [np.nan, tau, 0.0]
+        _, norms, _, ok = _solve_columns(flat, lights, sigmas)
+        before = ~np.any(flat < tau, axis=0) & (norms > DEGENERATE_NORM)
+        assert np.array_equal(ok, before)
+        assert ok.tolist() == [True, True, False, False, False]
 
     def test_stack_size_must_match(self):
         nmap, amap = self.sphere(side=9)
