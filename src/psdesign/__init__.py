@@ -24,7 +24,7 @@ from .core import (
     normalize,
 )
 from .evaluate import AngularErrorStats, ConfigComparison, angular_error, compare_configs, compare_maps
-from .forward import NoiseSpec, add_noise, render_pixel, render_stack, substream
+from .forward import NoiseSpec, Stage, add_noise, render_pixel, render_stack, stream_key, substream
 from .oed import (
     ConfidenceRegion,
     EstimateCovariance,
@@ -80,6 +80,7 @@ __all__ = [
     "SceneSpec",
     "ShapePrior",
     "SingularLightMatrixError",
+    "Stage",
     "a_criterion",
     "add_noise",
     "angular_error",
@@ -107,5 +108,6 @@ __all__ = [
     "solve_exact",
     "solve_lsq",
     "solve_map",
+    "stream_key",
     "substream",
 ]

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import jsonschema
 import numpy as np
@@ -37,9 +37,10 @@ from .core import (
     freeze,
 )
 from .evaluate import AngularErrorStats, compare_configs, compare_maps
-from .forward import NoiseSpec, add_noise, render_stack, substream
+from .forward import NoiseSpec, Stage, add_noise, render_stack, stream_key, substream
 from .oed import ShapePrior, build_shape_prior, phi_lower_bound
 from .optimize import (
+    OptimizationReport,
     OptimizerConfig,
     baseline_heuristic_spread,
     baseline_orthogonal_triad,
@@ -54,10 +55,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
-
-# Noise-seed blocks per pipeline stage, so no stage shares a Philox key with
-# another (add_noise consumes seed + image_index; comparisons stride further).
-SEED_BLOCK_COMPARE = 1_000_000
 
 
 class ConfigError(PhotometryError):
@@ -146,25 +143,16 @@ def load_run_config(path, overrides: argparse.Namespace | None = None) -> RunCon
         optimizer=optimizer,
         trials=int(raw.get("trials", 20)),
     )
-    if overrides is not None:
-        updates = {}
-        if getattr(overrides, "seed", None) is not None:
-            updates["seed"] = int(overrides.seed)
-            updates["optimizer"] = OptimizerConfig(
-                max_iters=optimizer.max_iters,
-                step_size=optimizer.step_size,
-                armijo_shrink=optimizer.armijo_shrink,
-                grad_tol=optimizer.grad_tol,
-                restarts=optimizer.restarts,
-                seed=int(overrides.seed),
-            )
-        if getattr(overrides, "sigma", None) is not None:
-            updates["sigma"] = float(overrides.sigma)
-            updates["sigmas"] = None
-        if getattr(overrides, "out", None) is not None:
-            updates["outputs"] = str(overrides.out)
-        if updates:
-            cfg = RunConfig(**{**cfg.__dict__, **updates})
+    updates = {}
+    if getattr(overrides, "seed", None) is not None:
+        updates["seed"] = int(overrides.seed)
+        updates["optimizer"] = replace(optimizer, seed=int(overrides.seed))
+    if getattr(overrides, "sigma", None) is not None:
+        updates["sigma"] = float(overrides.sigma)
+        updates["sigmas"] = None
+    if getattr(overrides, "out", None) is not None:
+        updates["outputs"] = str(overrides.out)
+    cfg = replace(cfg, **updates)
     if not 0.0 < cfg.alpha < 1.0:
         raise AlphaOutOfRangeError(f"alpha must be in (0, 1), got {cfg.alpha}")
     return cfg
@@ -183,7 +171,7 @@ def resolve_lights(spec: dict, seed: int) -> LightConfig:
     if name == "random":
         # imaging rigs come from the camera-facing hemisphere; a light with
         # z <= 0 cannot illuminate any visible pixel
-        rng = substream(int(spec.get("seed", seed)), 0)
+        rng = substream(stream_key(int(spec.get("seed", seed)), Stage.RIG, 0), 0)
         return LightConfig(rows=random_hemisphere_rows(m, rng))
     raise ConfigError(f"cannot resolve lights from {spec!r}")
 
@@ -226,6 +214,18 @@ def _stats_json(stats: AngularErrorStats | None) -> dict:
         "p90_deg": _json_float(stats.p90_deg),
         "max_deg": _json_float(stats.max_deg),
         "sample_count": stats.count,
+    }
+
+
+def _optimization_json(report: OptimizationReport, prior: ShapePrior) -> dict:
+    """The fields optimize_report.json and report.json's optimization share."""
+    return {
+        "phi_trajectory": [float(p) for p in report.phi_trajectory],
+        "iterations_used": report.iterations_used,
+        "converged": report.converged,
+        "gradient_norm_final": _json_float(report.gradient_norm_final),
+        "phi_lower_bound": phi_lower_bound(prior.m_agg, report.initial_s.m),
+        "optimality_gap": _json_float(report.optimality_gap),
     }
 
 
@@ -324,14 +324,21 @@ def validate_report(report: dict) -> None:
     jsonschema.validate(instance=report, schema=REPORT_SCHEMA)
 
 
+def _observe(cfg: RunConfig, nmap, amap, lights: LightConfig, stage: Stage) -> IntensityStack:
+    """Render under ``lights`` and add the run's noise, keyed by ``stage``."""
+    stack = render_stack(nmap, amap, lights)
+    sigmas = cfg.noise_sigmas(lights.m)
+    if np.any(sigmas > 0.0):
+        stack = add_noise(stack, NoiseSpec(sigmas=sigmas, seed=stream_key(cfg.seed, stage, 0)))
+    return stack
+
+
 def cmd_render(cfg: RunConfig) -> int:
     out = _ensure_outdir(cfg.outputs)
     nmap, amap = generate(cfg.scene)
     lights = resolve_lights(cfg.lights, cfg.seed)
     sigmas = cfg.noise_sigmas(lights.m)
-    stack = render_stack(nmap, amap, lights)
-    if np.any(sigmas > 0.0):
-        stack = add_noise(stack, NoiseSpec(sigmas=sigmas, seed=cfg.seed))
+    stack = _observe(cfg, nmap, amap, lights, Stage.NOISE)
     names = []
     for i in range(stack.m):
         name = f"img_{i:03d}.pfm"
@@ -390,12 +397,8 @@ def cmd_solve(sidecar_path, out_dir, image_paths=None) -> int:
 def _estimate_prior(cfg: RunConfig, lights: LightConfig) -> ShapePrior:
     """Classic-PS pass with the given lights to obtain the shape prior."""
     nmap, amap = generate(cfg.scene)
-    sigmas = cfg.noise_sigmas(lights.m)
-    stack = render_stack(nmap, amap, lights)
-    if np.any(sigmas > 0.0):
-        stack = add_noise(stack, NoiseSpec(sigmas=sigmas, seed=cfg.seed))
-    est_nmap, _ = solve_map(stack, lights)
-    return build_shape_prior(est_nmap)
+    stack = _observe(cfg, nmap, amap, lights, Stage.NOISE)
+    return build_shape_prior(solve_map(stack, lights)[0])
 
 
 def cmd_optimize(cfg: RunConfig, shape_agnostic: bool = False) -> int:
@@ -411,12 +414,7 @@ def cmd_optimize(cfg: RunConfig, shape_agnostic: bool = False) -> int:
     _dump_json(os.path.join(out, "optimize_report.json"), {
         "initial_rows": [list(map(float, row)) for row in report.initial_s.rows],
         "final_rows": [list(map(float, row)) for row in report.final_s.rows],
-        "phi_trajectory": [float(p) for p in report.phi_trajectory],
-        "iterations_used": report.iterations_used,
-        "converged": report.converged,
-        "gradient_norm_final": _json_float(report.gradient_norm_final),
-        "phi_lower_bound": phi_lower_bound(prior.m_agg, initial.m),
-        "optimality_gap": _json_float(report.optimality_gap),
+        **_optimization_json(report, prior),
     })
     print(
         f"optimized in {report.iterations_used} iterations: "
@@ -447,22 +445,15 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     out = _ensure_outdir(cfg.outputs)
     nmap, amap = generate(cfg.scene)
     initial = resolve_lights(cfg.lights, cfg.seed)
-    sigmas = cfg.noise_sigmas(initial.m)
-    sigma = float(sigmas.max())
+    sigma = float(cfg.noise_sigmas(initial.m).max())
 
-    stack = render_stack(nmap, amap, initial)
-    if np.any(sigmas > 0.0):
-        stack = add_noise(stack, NoiseSpec(sigmas=sigmas, seed=cfg.seed))
-    est_initial, _ = solve_map(stack, initial)
+    est_initial, _ = solve_map(_observe(cfg, nmap, amap, initial, Stage.NOISE), initial)
     prior = build_shape_prior(est_initial)
 
     opt = optimize_lights(initial, prior, cfg.optimizer)
     optimized = opt.final_s
 
-    stack_opt = render_stack(nmap, amap, optimized)
-    if np.any(sigmas > 0.0):
-        stack_opt = add_noise(stack_opt, NoiseSpec(sigmas=sigmas, seed=cfg.seed + 1))
-    est_optimized, _ = solve_map(stack_opt, optimized)
+    est_optimized, _ = solve_map(_observe(cfg, nmap, amap, optimized, Stage.RERENDER), optimized)
 
     configs = {
         "initial": initial,
@@ -470,18 +461,14 @@ def cmd_pipeline(cfg: RunConfig) -> int:
         "orthogonal-triad": baseline_orthogonal_triad(),
         "optimized": optimized,
     }
-    table = compare_configs(
-        nmap, amap, configs, sigma=sigma, trials=cfg.trials,
-        seed=cfg.seed + SEED_BLOCK_COMPARE, prior=prior,
-    )
+    table = compare_configs(nmap, amap, configs, sigma=sigma, trials=cfg.trials,
+                            seed=cfg.seed, prior=prior)
 
     outputs = {"report": "report.json"}
-    export_normal_map(os.path.join(out, "gt_normals.pfm"), nmap)
-    outputs["gt_normals"] = "gt_normals.pfm"
-    export_normal_map(os.path.join(out, "est_initial.pfm"), est_initial)
-    outputs["est_initial"] = "est_initial.pfm"
-    export_normal_map(os.path.join(out, "est_optimized.pfm"), est_optimized)
-    outputs["est_optimized"] = "est_optimized.pfm"
+    maps = {"gt_normals": nmap, "est_initial": est_initial, "est_optimized": est_optimized}
+    for name, normals in maps.items():
+        outputs[name] = f"{name}.pfm"
+        export_normal_map(os.path.join(out, outputs[name]), normals)
     for row in table:
         if row.stats is None:
             continue
@@ -500,12 +487,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
         "optimization": {
             "phi_initial": _json_float(opt.phi_trajectory[0]),
             "phi_final": _json_float(opt.phi_trajectory[-1]),
-            "phi_trajectory": [float(p) for p in opt.phi_trajectory],
-            "iterations_used": opt.iterations_used,
-            "converged": opt.converged,
-            "gradient_norm_final": _json_float(opt.gradient_norm_final),
-            "phi_lower_bound": phi_lower_bound(prior.m_agg, initial.m),
-            "optimality_gap": _json_float(opt.optimality_gap),
+            **_optimization_json(opt, prior),
         },
         "comparison": [
             {"name": row.name, "phi": _json_float(row.phi), "note": row.note,

@@ -7,6 +7,7 @@ on [0, 30] with a final overflow bin.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -20,16 +21,12 @@ from .core import (
     NormalMap,
     SingularLightMatrixError,
 )
-from .forward import NoiseSpec, add_noise, render_stack
+from .forward import NoiseSpec, Stage, add_noise, render_stack, stream_key
 from .oed import ShapePrior, build_shape_prior, phi_shape_aware
 from .solver import solve_map
 
 DEFAULT_BIN_WIDTH = 0.5
 DEFAULT_MAX_DEGREES = 30.0
-# Noise substreams are strided so per-image offsets (seed + image index) never
-# collide across trials or configs, which holds while m <= SEED_STRIDE; the
-# design envelope is m <= 16.
-SEED_STRIDE = 64
 
 
 @dataclass(frozen=True)
@@ -136,25 +133,22 @@ def compare_configs(
 ) -> list[ConfigComparison]:
     """Monte Carlo comparison of named light configurations on one scene.
 
-    Per config and trial: render, add a fresh noise substream, solve, compare
-    with ground truth.  Samples are pooled across trials; each row also
+    Per config and trial: render, add noise from a fresh stream key, solve,
+    compare with ground truth.  Samples are pooled across trials; each row also
     records the shape-aware objective under the scene's prior.  Configs whose
     objective is not finite at working precision are reported with
-    note="singular" and no error statistics.  A config with more than
-    SEED_STRIDE lights raises DimensionMismatchError.
+    note="singular" and no error statistics.  The k-th trial over all configs,
+    in order, draws from ``stream_key(seed, Stage.COMPARE, k)``, whatever
+    the configs' light counts.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for name, lights in configs.items():
-        if lights.m > SEED_STRIDE:
-            raise DimensionMismatchError(
-                f"config {name!r} has {lights.m} lights; the noise streams of "
-                f"consecutive trials overlap beyond {SEED_STRIDE}"
-            )
     if prior is None:
         prior = build_shape_prior(gt_normals)
     results = []
-    for index, (name, lights) in enumerate(configs.items()):
+    keys = (stream_key(seed, Stage.COMPARE, k) for k in itertools.count())
+    for name, lights in configs.items():
+        trial_keys = list(itertools.islice(keys, trials))  # taken by singular configs too
         try:
             phi = phi_shape_aware(lights, prior)
         except SingularLightMatrixError:
@@ -167,10 +161,8 @@ def compare_configs(
         pooled = []
         mean_map = np.zeros((gt_normals.height, gt_normals.width))
         hit_count = np.zeros((gt_normals.height, gt_normals.width), dtype=int)
-        for trial in range(trials):
-            noise = NoiseSpec.uniform(
-                sigma, lights.m, seed=seed + (index * trials + trial) * SEED_STRIDE
-            )
+        for key in trial_keys:
+            noise = NoiseSpec.uniform(sigma, lights.m, seed=key)
             est, _ = solve_map(add_noise(clean, noise), lights)
             _, joint, errors = _error_map_deg(est, gt_normals)
             pooled.append(errors)

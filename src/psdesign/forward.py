@@ -7,6 +7,7 @@ Gaussian; quantization and sensor saturation are not modeled.
 
 from __future__ import annotations
 
+import enum
 import os
 import threading
 from dataclasses import dataclass
@@ -68,20 +69,46 @@ def _for_each(task, count: int, pixels: int) -> None:
         pass
 
 
-def substream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based RNG stream for (seed, index).
+class Stage(enum.IntEnum):
+    """The stages that draw random numbers; each keys its own Philox streams."""
 
-    Philox streams keyed by ``seed + index`` are statistically independent,
-    which makes per-image (and per-trial) noise reproducible regardless of
-    evaluation order.
-    """
-    key = (int(seed) + int(index)) % (1 << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    NOISE = 0  # add_noise under a plain run seed
+    RIG = 1  # the random imaging rig of a run config
+    RESTART = 2  # the random starts of optimize_lights
+    BASELINE = 3  # baseline_random
+    RERENDER = 4  # the pipeline's render under the optimized rig
+    COMPARE = 5  # compare_configs, one key per config and trial
+    HEURISTIC = 6  # the starts of baseline_heuristic_spread
+
+
+def stream_key(seed: int, stage: Stage, index: int) -> int:
+    """Two-word Philox key: word 0 is seed mod 2^64, word 1 stage << 56 | index.
+
+    Distinct (seed mod 2^64, stage, index) give distinct keys; the NOISE key
+    with index 0 is the run seed itself."""
+    if not 0 <= index < 1 << 56:
+        raise ValueError(f"stream index must be in [0, 2^56), got {index}")
+    return int(seed) % (1 << 64) | (int(stage) << 56 | int(index)) << 64
+
+
+def substream(key: int, index: int) -> np.random.Generator:
+    """Stream ``index`` of a Philox key, as ``Philox(key).jumped(index)``.
+
+    Jumps are 2^128 draws apart, so the streams of one key never overlap, and
+    distinct keys give independent streams (Salmon et al., SC11).  An int
+    outside [0, 2^128) is a run seed, taken mod 2^64 as by stream_key, so
+    ``substream(seed, 0)`` is Philox keyed by the seed."""
+    key = int(key)
+    if not 0 <= key < 1 << 128:
+        key %= 1 << 64
+    # the counter that jumped(index) sets, without building a second generator
+    return np.random.Generator(np.random.Philox(key=key, counter=int(index) << 128))
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-image noise levels and the seed of the counter-based generator."""
+    """Per-image noise levels; image i draws from substream(seed, i), where
+    ``seed`` is a run seed or a stream_key."""
 
     sigmas: np.ndarray
     seed: int = 0

@@ -25,6 +25,7 @@ from .core import (
     NormalMap,
     RANK_RTOL,
     SingularLightMatrixError,
+    _readonly,
     rank_ratio,
     require_spd,
 )
@@ -41,10 +42,7 @@ class EstimateCovariance:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = require_spd(self.matrix)
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _readonly(require_spd(self.matrix)))
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,7 @@ class ShapePrior:
             raise DimensionMismatchError("prior matrix must be symmetric")
         if np.min(np.linalg.eigvalsh(0.5 * (m + m.T))) < PRIOR_PSD_TOL:
             raise DimensionMismatchError("prior matrix must be positive semidefinite")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "m_agg", m)
+        object.__setattr__(self, "m_agg", _readonly(m))
         object.__setattr__(self, "pixel_count", int(self.pixel_count))
 
     @classmethod

@@ -28,7 +28,7 @@ from .core import (
     RankCollapseError,
     rank_ratio,
 )
-from .forward import substream
+from .forward import Stage, stream_key, substream
 from .oed import ShapePrior, inverse_gram, phi_lower_bound
 
 ARMIJO_DECREASE = 1e-4
@@ -128,12 +128,11 @@ def random_hemisphere_rows(m: int, rng: np.random.Generator) -> np.ndarray:
     random *imaging* rigs are drawn from the upper half sphere; the design
     objective itself is still sampled over the full sphere.
     """
-    rows = random_unit_rows(m, rng)
-    rows[:, 2] = np.abs(rows[:, 2])
-    while rank_ratio(rows) <= RANK_RTOL:
+    while True:
         rows = random_unit_rows(m, rng)
         rows[:, 2] = np.abs(rows[:, 2])
-    return rows
+        if rank_ratio(rows) > RANK_RTOL:
+            return rows
 
 
 def _descend(
@@ -181,24 +180,26 @@ def optimize_lights(
 ) -> OptimizationReport:
     """Projected gradient descent on the shape-aware objective.
 
-    Restart 0 starts from ``initial``; restarts 1..r-1 start from seeded
-    uniformly random unit-row configurations.  Each descent stops, converged,
-    once phi <= phi* (1 + OPTIMALITY_RTOL) or its tangent gradient norm falls
-    below ``cfg.grad_tol``.  The lowest final objective wins; ties within
-    1e-12 keep the earliest restart, and once the best result is certified
-    within OPTIMALITY_RTOL of phi* the remaining restarts are not run, since
-    none could improve on it by more than phi* * OPTIMALITY_RTOL.
+    Restart 0 starts from ``initial``; restart r >= 1 from uniformly random
+    unit rows drawn from stream r of the RESTART key of ``cfg.seed``.  Each
+    descent stops, converged, once phi <= phi* (1 + OPTIMALITY_RTOL) or its
+    tangent gradient norm falls below ``cfg.grad_tol``.  The lowest final
+    objective wins; ties within 1e-12 keep the earliest restart, and once the
+    best result is certified within OPTIMALITY_RTOL of phi* the remaining
+    restarts are not run, since none could improve on it by more than
+    phi* * OPTIMALITY_RTOL.
     """
     if not initial.unit_norm:
         raise NonUnitRowsError("the optimizer requires a unit-norm light configuration")
     bound = phi_lower_bound(prior.m_agg, initial.m)
     phi_certified = bound * (1.0 + OPTIMALITY_RTOL)
+    starts = stream_key(cfg.seed, Stage.RESTART, 0)
     best = None
     for restart in range(cfg.restarts):
         if restart == 0:
             start = np.array(initial.rows)
         else:
-            start = random_unit_rows(initial.m, substream(cfg.seed, restart))
+            start = random_unit_rows(initial.m, substream(starts, restart))
         rows, trajectory, iterations, converged, grad_norm = _descend(
             start, prior.m_agg, cfg, phi_certified
         )
@@ -228,12 +229,12 @@ def baseline_random(
 ) -> list[tuple[LightConfig, float]]:
     """``count`` configurations with rows i.i.d. uniform on the sphere.
 
-    Each is scored with the shape-aware objective; deterministic given seed.
+    Each is scored with the shape-aware objective; the rows are drawn from the
+    BASELINE stream key of ``seed``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = substream(seed, 0)
-    rows = rng.normal(size=(count, m, 3))
+    rows = substream(stream_key(seed, Stage.BASELINE, 0), 0).normal(size=(count, m, 3))
     rows /= np.linalg.norm(rows, axis=2, keepdims=True)
     grams = np.einsum("kmi,kmj->kij", rows, rows)
     inverses = np.linalg.inv(grams)
@@ -284,8 +285,8 @@ def baseline_heuristic_spread(m: int) -> LightConfig:
     """
     if m < 3:
         raise ValueError("need at least 3 lights")
-    pts = np.stack([random_unit_rows(m, substream(HEURISTIC_SEED, 16 * m + start))
-                    for start in range(8)])
+    key = stream_key(HEURISTIC_SEED, Stage.HEURISTIC, m)
+    pts = np.stack([random_unit_rows(m, substream(key, start)) for start in range(8)])
     for exponent, iters, step in ((2.0, 600, 0.05), (8.0, 500, 0.01), (24.0, 400, 0.002)):
         pts = _repel(pts, exponent, iters, step)
     best = int(np.argmax([min_pairwise_angle_deg(rows) for rows in pts]))

@@ -55,10 +55,7 @@ def read_pfm(path) -> np.ndarray:
             raise FileFormatError(f"{path}: truncated pixel data")
     dtype = "<f4" if scale < 0.0 else ">f4"
     data = np.frombuffer(raw, dtype=dtype).astype(np.float32)
-    if channels == 1:
-        data = data.reshape(height, width)
-    else:
-        data = data.reshape(height, width, 3)
+    data = data.reshape((height, width) if channels == 1 else (height, width, 3))
     return data[::-1].copy()  # file stores bottom row first
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from psdesign import LightConfig, substream
+from psdesign import IntensityStack, LightConfig, NoiseSpec, add_noise, substream
+from psdesign import cli, evaluate
 from psdesign.optimize import random_unit_rows
 
 
@@ -20,3 +21,30 @@ def well_conditioned_rows(rng: np.random.Generator, m: int, min_sv: float = 0.3)
 
 def well_conditioned_config(rng: np.random.Generator, m: int, min_sv: float = 0.3) -> LightConfig:
     return LightConfig(rows=well_conditioned_rows(rng, m, min_sv))
+
+
+def noise_draws(key: int, m: int, count: int) -> np.ndarray:
+    """The first ``count`` standard-normal draws of each of the m images that
+    add_noise fills under ``key``, as an (m, count) array."""
+    zeros = IntensityStack(images=np.zeros((m, 1, count)), sigmas=np.zeros(m))
+    return add_noise(zeros, NoiseSpec.uniform(1.0, m, seed=key)).images[:, 0]
+
+
+def directions(draws: np.ndarray) -> np.ndarray:
+    """Draws taken three at a time as normalized rows, as a random rig makes them."""
+    rows = draws.reshape(-1, 3)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.fixture
+def noise_specs(monkeypatch):
+    """Records the NoiseSpec of every add_noise call the CLI and compare_configs make."""
+    specs = []
+
+    def recording(stack, noise):
+        specs.append(noise)
+        return add_noise(stack, noise)
+
+    monkeypatch.setattr(cli, "add_noise", recording)
+    monkeypatch.setattr(evaluate, "add_noise", recording)
+    return specs

@@ -20,6 +20,8 @@ from psdesign import (
 from psdesign.oed import build_shape_prior
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
 
+from conftest import noise_draws
+
 
 class TestAngularError:
     def test_same_vector(self):
@@ -160,24 +162,20 @@ class TestCompareConfigs:
         assert table[0].note == "no-valid-pixels"
         assert table[0].stats is None
 
-    def test_more_lights_than_seed_stride_rejected(self):
-        from psdesign import PhotometryError
-        from psdesign.evaluate import SEED_STRIDE
-
+    def test_more_than_64_lights_draw_distinct_trial_streams(self, noise_specs):
         nmap, amap = self.scene()
         rng = np.random.default_rng(4)
-        for m, fails in ((SEED_STRIDE, False), (SEED_STRIDE + 1, True)):
-            rows = rng.normal(size=(m, 3))
-            rows[:, 2] = np.abs(rows[:, 2]) + 1.0
-            configs = {"triad": baseline_orthogonal_triad(),
-                       "many": LightConfig(rows=rows / np.linalg.norm(rows, axis=1, keepdims=True))}
-            if fails:
-                with pytest.raises(DimensionMismatchError) as err:
-                    compare_configs(nmap, amap, configs, sigma=0.01, trials=2, seed=3)
-                assert isinstance(err.value, PhotometryError) and "'many'" in str(err.value)
-            else:
-                table = compare_configs(nmap, amap, configs, sigma=0.01, trials=2, seed=3)
-                assert [row.name for row in table] == ["triad", "many"]
+        rows = rng.normal(size=(65, 3))
+        rows[:, 2] = np.abs(rows[:, 2]) + 1.0
+        configs = {"triad": baseline_orthogonal_triad(),
+                   "many": LightConfig(rows=rows / np.linalg.norm(rows, axis=1, keepdims=True))}
+        table = compare_configs(nmap, amap, configs, sigma=0.01, trials=2, seed=3)
+        assert [row.name for row in table] == ["triad", "many"]
+        assert table[1].note == "ok" and table[1].stats.count > 0
+        assert [spec.sigmas.size for spec in noise_specs] == [3, 3, 65, 65]
+        pooled = np.concatenate([noise_draws(spec.seed, spec.sigmas.size, 16).ravel()
+                                 for spec in noise_specs])
+        assert np.unique(pooled).size == pooled.size  # no image of any trial repeats a draw
 
 
 def test_pooled_mse_matches_covariance_trace():

@@ -205,6 +205,8 @@ def test_solve_map_matches_columnwise_lstsq(rng, m, sigma_kind):
         weights = np.ones(m) if sigma_kind != "unequal" else 1.0 / sigmas
         null = weights**-2 / (weights**-2).min()
         images[:, 0, 1] = (tau + 0.1) * null  # degenerate
+    else:
+        images[1, 0, 1] = 0.5 * tau  # shadowed: m = 3 has no degenerate lit pixel
     lit_back = 0.7 * rows @ back
     images[:, 0, 2] = lit_back + max(0.0, tau + 0.1 - lit_back.min()) * (m > 3) * null
 
