@@ -120,12 +120,12 @@ def load_run_config(path, overrides: argparse.Namespace | None = None) -> RunCon
     if "scene" not in raw:
         raise ConfigError(f"{path}: missing 'scene' section")
     opt_raw = raw.get("optimizer", {})
+    unknown = sorted(set(opt_raw) - {"max_iters", "restarts", "seed"})
+    if unknown:
+        raise ConfigError(f"{path}: unknown optimizer settings {unknown}")
     try:
         optimizer = OptimizerConfig(
             max_iters=int(opt_raw.get("max_iters", 1000)),
-            step_size=float(opt_raw.get("step_size", 0.25)),
-            armijo_shrink=float(opt_raw.get("armijo_shrink", 0.5)),
-            grad_tol=float(opt_raw.get("grad_tol", 1e-8)),
             restarts=int(opt_raw.get("restarts", 1)),
             seed=int(opt_raw.get("seed", raw.get("seed", 0))),
         )

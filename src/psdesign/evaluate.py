@@ -19,7 +19,6 @@ from .core import (
     EmptyMaskError,
     LightConfig,
     NormalMap,
-    SingularLightMatrixError,
 )
 from .forward import NoiseSpec, Stage, add_noise, render_stack, stream_key
 from .oed import ShapePrior, build_shape_prior, phi_shape_aware
@@ -135,11 +134,11 @@ def compare_configs(
 
     Per config and trial: render, add noise from a fresh stream key, solve,
     compare with ground truth.  Samples are pooled across trials; each row also
-    records the shape-aware objective under the scene's prior.  Configs whose
-    objective is not finite at working precision are reported with
-    note="singular" and no error statistics.  The k-th trial over all configs,
-    in order, draws from ``stream_key(seed, Stage.COMPARE, k)``, whatever
-    the configs' light counts.
+    records the shape-aware objective under the scene's prior.  A config that
+    leaves no pixel valid in any trial is reported with note="no-valid-pixels"
+    and no error statistics.  The k-th trial over all configs, in order, draws
+    from ``stream_key(seed, Stage.COMPARE, k)``, whatever the configs' light
+    counts.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -148,20 +147,12 @@ def compare_configs(
     results = []
     keys = (stream_key(seed, Stage.COMPARE, k) for k in itertools.count())
     for name, lights in configs.items():
-        trial_keys = list(itertools.islice(keys, trials))  # taken by singular configs too
-        try:
-            phi = phi_shape_aware(lights, prior)
-        except SingularLightMatrixError:
-            results.append(
-                ConfigComparison(name=name, lights=lights, phi=float("inf"),
-                                 stats=None, note="singular")
-            )
-            continue
+        phi = phi_shape_aware(lights, prior)
         clean = render_stack(gt_normals, albedo, lights)
         pooled = []
         mean_map = np.zeros((gt_normals.height, gt_normals.width))
         hit_count = np.zeros((gt_normals.height, gt_normals.width), dtype=int)
-        for key in trial_keys:
+        for key in itertools.islice(keys, trials):
             noise = NoiseSpec.uniform(sigma, lights.m, seed=key)
             est, _ = solve_map(add_noise(clean, noise), lights)
             _, joint, errors = _error_map_deg(est, gt_normals)
@@ -176,8 +167,7 @@ def compare_configs(
                                  stats=None, note="no-valid-pixels")
             )
             continue
-        with np.errstate(invalid="ignore"):
-            error_map = np.where(hit_count > 0, mean_map / np.maximum(hit_count, 1), np.nan)
+        error_map = np.where(hit_count > 0, mean_map / np.maximum(hit_count, 1), np.nan)
         stats = _stats_from_samples(samples, error_map, DEFAULT_BIN_WIDTH, DEFAULT_MAX_DEGREES)
         results.append(ConfigComparison(name=name, lights=lights, phi=phi, stats=stats))
     return results

@@ -23,10 +23,7 @@ from .core import (
     LightConfig,
     NonPositiveSigmaError,
     NormalMap,
-    RANK_RTOL,
-    SingularLightMatrixError,
     _readonly,
-    rank_ratio,
     require_spd,
 )
 from .solver import PixelEstimate
@@ -94,17 +91,6 @@ class ShapePrior:
         return cls(m_agg=np.eye(3), pixel_count=0)
 
 
-def inverse_gram(lights: LightConfig) -> np.ndarray:
-    """(S^T S)^-1 with an explicit rank guard.
-
-    The explicit inverse is the object of interest here: the objectives and
-    their gradients are written in terms of it.
-    """
-    if rank_ratio(lights.rows) <= RANK_RTOL:
-        raise SingularLightMatrixError("light matrix is rank deficient")
-    return np.linalg.inv(lights.gram())
-
-
 def covariance(lights: LightConfig, sigmas) -> EstimateCovariance:
     """Covariance (S^T W S)^-1 of the weighted least-squares estimate.
 
@@ -116,8 +102,6 @@ def covariance(lights: LightConfig, sigmas) -> EstimateCovariance:
         raise DimensionMismatchError(f"got {sig.shape[0]} sigmas for {lights.m} lights")
     if np.any(sig <= 0.0):
         raise NonPositiveSigmaError("covariance requires strictly positive noise levels")
-    if rank_ratio(lights.rows) <= RANK_RTOL:
-        raise SingularLightMatrixError("light matrix is rank deficient")
     whitened = lights.rows / sig[:, None]
     info = whitened.T @ whitened
     return EstimateCovariance(matrix=np.linalg.inv(info))
@@ -168,14 +152,24 @@ def b_matrix(n_tilde) -> np.ndarray:
     return (np.eye(3) - np.outer(n, n)) / norm
 
 
+def phi_of_rows(rows: np.ndarray, m_agg: np.ndarray) -> np.ndarray:
+    """trace(M (S^T S)^-1) of every (m, 3) rig in a (..., m, 3) stack.
+
+    The one implementation of the objective.  Full rank is the caller's to
+    ensure: LightConfig checks it on construction, the descent per candidate.
+    """
+    gram = np.swapaxes(rows, -1, -2) @ rows
+    return np.trace(m_agg @ np.linalg.inv(gram), axis1=-2, axis2=-1)
+
+
 def phi_shape_agnostic(lights: LightConfig) -> float:
     """trace((S^T S)^-1): total variance of the raw estimate per unit noise."""
-    return float(np.trace(inverse_gram(lights)))
+    return float(phi_of_rows(lights.rows, np.eye(3)))
 
 
 def phi_shape_aware(lights: LightConfig, prior: ShapePrior) -> float:
     """trace(M (S^T S)^-1): variance that survives normalization, M-weighted."""
-    return float(np.trace(prior.m_agg @ inverse_gram(lights)))
+    return float(phi_of_rows(lights.rows, prior.m_agg))
 
 
 def phi_lower_bound(m_agg, m: int) -> float:

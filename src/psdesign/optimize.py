@@ -11,7 +11,8 @@ The infimum phi* = (tr M^1/2)^2 / m over unit rows is known in closed form
 (``oed.phi_lower_bound``), so it is the stopping certificate: a descent stops,
 converged, once phi <= phi* (1 + OPTIMALITY_RTOL), and the restarts left after
 a certified result are skipped.  When phi* is not attained (M singular, as for
-a true plane) the gradient tolerance and max_iters still end each descent.
+a true plane) the gradient tolerance GRAD_TOL and max_iters still end each
+descent.
 """
 
 from __future__ import annotations
@@ -29,10 +30,15 @@ from .core import (
     rank_ratio,
 )
 from .forward import Stage, stream_key, substream
-from .oed import ShapePrior, inverse_gram, phi_lower_bound
+from .oed import ShapePrior, phi_lower_bound, phi_of_rows
 
+# Descent constants: first trial step, Armijo sufficient decrease and
+# backtracking factor, smallest step tried, tangent-gradient stopping norm.
+STEP_SIZE = 0.25
 ARMIJO_DECREASE = 1e-4
+ARMIJO_SHRINK = 0.5
 MIN_STEP = 1e-15
+GRAD_TOL = 1e-8
 # Certified optimal: phi within this share of phi*.  No rig scores below phi*,
 # so no later restart can improve on a certified result by more than this.
 OPTIMALITY_RTOL = 1e-12
@@ -47,24 +53,15 @@ HEURISTIC_MAX_MOVE = 0.05  # per point and repulsion step
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the projected descent; defaults are safe for m <= 16."""
+    """Iteration cap, restart count and restart seed of the projected descent."""
 
     max_iters: int = 1000
-    step_size: float = 0.25
-    armijo_shrink: float = 0.5
-    grad_tol: float = 1e-8
     restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be > 0")
-        if not 0.0 < self.armijo_shrink < 1.0:
-            raise ValueError("armijo_shrink must be in (0, 1)")
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be > 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -81,23 +78,18 @@ class OptimizationReport:
 
 
 def phi_gradient(lights: LightConfig, prior: ShapePrior) -> np.ndarray:
-    """Exact gradient of trace(M (S^T S)^-1) with respect to S.
+    """Exact gradient of trace(M (S^T S)^-1) with respect to S."""
+    return _gradient_of_rows(lights.rows, prior.m_agg)
 
-    Closed form -2 S A M A with A = (S^T S)^-1, using that A and M are
-    symmetric; equal to what a reverse-mode sweep through the Gram inverse
-    produces.
+
+def _gradient_of_rows(rows: np.ndarray, m_agg: np.ndarray) -> np.ndarray:
+    """Closed form -2 S A M A, A = (S^T S)^-1, of every rig in a (..., m, 3) stack.
+
+    It uses that A and M are symmetric, and equals what a reverse-mode sweep
+    through the Gram inverse produces.
     """
-    a = inverse_gram(lights)
-    return -2.0 * lights.rows @ a @ prior.m_agg @ a
-
-
-def _raw_gradient(rows: np.ndarray, m_agg: np.ndarray) -> np.ndarray:
-    a = np.linalg.inv(rows.T @ rows)
+    a = np.linalg.inv(np.swapaxes(rows, -1, -2) @ rows)
     return -2.0 * rows @ a @ m_agg @ a
-
-
-def _phi_of_rows(rows: np.ndarray, m_agg: np.ndarray) -> float:
-    return float(np.trace(m_agg @ np.linalg.inv(rows.T @ rows)))
 
 
 def _tangent_gradient(rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -138,18 +130,18 @@ def random_hemisphere_rows(m: int, rng: np.random.Generator) -> np.ndarray:
 def _descend(
     rows: np.ndarray, m_agg: np.ndarray, cfg: OptimizerConfig, phi_certified: float
 ) -> tuple[np.ndarray, list[float], int, bool, float]:
-    phi = _phi_of_rows(rows, m_agg)
+    phi = float(phi_of_rows(rows, m_agg))
     trajectory = [phi]
     iterations = 0
     while True:
         # tested at every iterate, the last one too, so that converged and
         # grad_norm describe the rows returned
-        tangent = _tangent_gradient(rows, _raw_gradient(rows, m_agg))
+        tangent = _tangent_gradient(rows, _gradient_of_rows(rows, m_agg))
         grad_norm = float(np.linalg.norm(tangent))
-        converged = phi <= phi_certified or grad_norm < cfg.grad_tol
+        converged = phi <= phi_certified or grad_norm < GRAD_TOL
         if converged or iterations == cfg.max_iters:
             break
-        step = cfg.step_size
+        step = STEP_SIZE
         accepted = False
         saw_full_rank = False
         while step >= MIN_STEP:
@@ -158,13 +150,13 @@ def _descend(
                 step *= 0.5  # rejected: degenerate iterate
                 continue
             saw_full_rank = True
-            candidate_phi = _phi_of_rows(candidate, m_agg)
+            candidate_phi = float(phi_of_rows(candidate, m_agg))
             if candidate_phi <= phi - ARMIJO_DECREASE * step * grad_norm**2:
                 rows, phi = candidate, candidate_phi
                 trajectory.append(phi)
                 accepted = True
                 break
-            step *= cfg.armijo_shrink
+            step *= ARMIJO_SHRINK
         if not accepted:
             if not saw_full_rank:
                 raise RankCollapseError(
@@ -183,7 +175,7 @@ def optimize_lights(
     Restart 0 starts from ``initial``; restart r >= 1 from uniformly random
     unit rows drawn from stream r of the RESTART key of ``cfg.seed``.  Each
     descent stops, converged, once phi <= phi* (1 + OPTIMALITY_RTOL) or its
-    tangent gradient norm falls below ``cfg.grad_tol``.  The lowest final
+    tangent gradient norm falls below GRAD_TOL.  The lowest final
     objective wins; ties within 1e-12 keep the earliest restart, and once the
     best result is certified within OPTIMALITY_RTOL of phi* the remaining
     restarts are not run, since none could improve on it by more than
@@ -203,12 +195,12 @@ def optimize_lights(
         rows, trajectory, iterations, converged, grad_norm = _descend(
             start, prior.m_agg, cfg, phi_certified
         )
-        result = (trajectory[-1], restart, rows, trajectory, iterations, converged, grad_norm)
+        result = (trajectory[-1], rows, trajectory, iterations, converged, grad_norm)
         if best is None or result[0] < best[0] - 1e-12:
             best = result
         if best[0] <= phi_certified:
             break
-    phi, _, rows, trajectory, iterations, converged, grad_norm = best
+    phi, rows, trajectory, iterations, converged, grad_norm = best
     # The objective only sees rows through their outer products, so it is
     # exactly invariant to per-row sign flips; report the camera-facing
     # representative (z >= 0), which is the one an imaging rig can use.
@@ -236,9 +228,7 @@ def baseline_random(
         raise ValueError("count must be >= 1")
     rows = substream(stream_key(seed, Stage.BASELINE, 0), 0).normal(size=(count, m, 3))
     rows /= np.linalg.norm(rows, axis=2, keepdims=True)
-    grams = np.einsum("kmi,kmj->kij", rows, rows)
-    inverses = np.linalg.inv(grams)
-    phis = np.einsum("ij,kji->k", prior.m_agg, inverses)
+    phis = phi_of_rows(rows, prior.m_agg)
     return [(LightConfig(rows=rows[k]), float(phis[k])) for k in range(count)]
 
 
@@ -305,39 +295,16 @@ def _ensure_rank_floor(rows: np.ndarray) -> np.ndarray:
     return _renormalize_rows(nudged)
 
 
-def _rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rotation matrix taking unit vector a to unit vector b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = float(a @ b)
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        # 180 degrees about any axis perpendicular to a
-        axis = np.cross(a, [1.0, 0.0, 0.0])
-        if np.linalg.norm(axis) < 1e-8:
-            axis = np.cross(a, [0.0, 1.0, 0.0])
-        axis /= np.linalg.norm(axis)
-        return 2.0 * np.outer(axis, axis) - np.eye(3)
-    v = np.cross(a, b)
-    k = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return np.eye(3) + k + k @ k * (1.0 / (1.0 + c))
-
-
-def baseline_orthogonal_triad(slant_reference=(0.0, 0.0, 1.0)) -> LightConfig:
-    """Three mutually orthogonal unit directions symmetric about a reference axis.
+def baseline_orthogonal_triad() -> LightConfig:
+    """Three mutually orthogonal unit directions symmetric about the view axis.
 
     Tilts are 120 degrees apart at a common slant of arccos(1/sqrt(3)) from
-    the reference, so S^T S is exactly the identity.
+    +z, so S^T S is exactly the identity.
     """
-    ref = np.asarray(slant_reference, dtype=float)
-    ref = ref / np.linalg.norm(ref)
     azimuths = 2.0 * np.pi * np.arange(3) / 3.0
     radial = np.sqrt(2.0 / 3.0)
     base = np.stack(
         [radial * np.cos(azimuths), radial * np.sin(azimuths), np.full(3, 1.0 / np.sqrt(3.0))],
         axis=1,
     )
-    rows = base @ _rotation_between(np.array([0.0, 0.0, 1.0]), ref).T
-    rows = _renormalize_rows(rows)
-    return LightConfig(rows=rows)
+    return LightConfig(rows=_renormalize_rows(base))

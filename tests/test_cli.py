@@ -215,6 +215,16 @@ def test_evaluate_command(tmp_path):
     assert (out_e / "error_map.pfm").exists()
 
 
+@pytest.mark.parametrize("key", ["step_size", "armijo_shrink", "grad_tol", "max_iter"])
+def test_unknown_optimizer_setting_is_usage_error(tmp_path, key):
+    # a setting the optimizer does not read must not be silently ignored
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, optimizer={"max_iters": 500, key: 0.5})
+    assert main(["optimize", "--config", str(cfg_path), "--shape-agnostic",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_exit_codes(tmp_path):
     # missing config file: I/O error
     assert main(["render", "--config", str(tmp_path / "nope.json")]) == 3

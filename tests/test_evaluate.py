@@ -124,9 +124,13 @@ class TestCompareConfigs:
 
     def test_zero_noise_ties_at_zero(self):
         nmap, amap = self.scene()
+        triad = baseline_orthogonal_triad()
+        cx, sx, cy, sy = np.cos(0.1), np.sin(0.1), np.cos(0.2), np.sin(0.2)
+        rot = (np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+               @ np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]]))
         configs = {
-            "triad": baseline_orthogonal_triad(),
-            "tilted": baseline_orthogonal_triad((0.2, 0.1, 0.97)),
+            "triad": triad,
+            "tilted": LightConfig(rows=triad.rows @ rot.T),
         }
         table = compare_configs(nmap, amap, configs, sigma=0.0, trials=1, seed=0)
         for row in table:
