@@ -165,7 +165,7 @@ def resolve_lights(spec: dict, seed: int) -> LightConfig:
     name = spec.get("baseline")
     m = int(spec.get("m", 3))
     if name == "orthogonal-triad":
-        return LightConfig(rows=baseline_orthogonal_triad().rows)
+        return baseline_orthogonal_triad()
     if name == "heuristic-spread":
         return baseline_heuristic_spread(m)
     if name == "random":

@@ -98,12 +98,6 @@ def normalize(v) -> tuple[np.ndarray, float]:
     return v / n, n
 
 
-def is_unit(v, tol: float = UNIT_TOL) -> bool:
-    """True when the squared norm of ``v`` is within ``tol`` of 1."""
-    v = np.asarray(v, dtype=float)
-    return bool(abs(float(v @ v) - 1.0) <= tol)
-
-
 def rank_ratio(matrix: np.ndarray) -> float:
     """Smallest over largest singular value (0 for an all-zero matrix)."""
     s = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
@@ -220,20 +214,6 @@ class AlbedoMap:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    def validate_range(self, mask: np.ndarray | None = None, upper: bool = True) -> None:
-        """Check 0 < albedo (and <= 1 when ``upper``) at masked pixels.
-
-        Physical albedo lies in (0, 1]; solver *estimates* may exceed 1 under
-        noise, so the upper bound is only enforced where the caller asks.
-        """
-        vals = self.values if mask is None else self.values[np.asarray(mask, dtype=bool)]
-        if vals.size == 0:
-            return
-        if np.any(vals <= 0.0):
-            raise InvalidSpecError("albedo must be strictly positive at valid pixels")
-        if upper and np.any(vals > 1.0):
-            raise InvalidSpecError("albedo must be <= 1 at valid pixels")
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,8 @@ def phi_of_rows(rows: np.ndarray, m_agg: np.ndarray) -> np.ndarray:
     """trace(M (S^T S)^-1) of every (m, 3) rig in a (..., m, 3) stack.
 
     The one implementation of the objective.  Full rank is the caller's to
-    ensure: LightConfig checks it on construction, the descent per candidate.
+    ensure: LightConfig checks it on construction, the descent per candidate,
+    and baseline_random relies on Gaussian draws being full rank almost surely.
     """
     gram = np.swapaxes(rows, -1, -2) @ rows
     return np.trace(m_agg @ np.linalg.inv(gram), axis1=-2, axis2=-1)

@@ -23,10 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DimensionMismatchError,
     LightConfig,
     NonUnitRowsError,
     RANK_RTOL,
     RankCollapseError,
+    freeze,
     rank_ratio,
 )
 from .forward import Stage, stream_key, substream
@@ -218,18 +220,23 @@ def optimize_lights(
 
 def baseline_random(
     count: int, m: int, prior: ShapePrior, seed: int = 0
-) -> list[tuple[LightConfig, float]]:
-    """``count`` configurations with rows i.i.d. uniform on the sphere.
+) -> list[tuple[np.ndarray, float]]:
+    """``count`` rigs of m rows i.i.d. uniform on the sphere, each with its phi.
 
-    Each is scored with the shape-aware objective; the rows are drawn from the
-    BASELINE stream key of ``seed``.
+    Returns ``count`` pairs (rows, phi): rows is a read-only (m, 3) view into
+    one sealed (count, m, 3) buffer, which ``LightConfig(rows=rows)`` adopts
+    without a copy, and phi is the shape-aware objective as a float.  The rows
+    are normalized Gaussian draws from the BASELINE stream key of ``seed``,
+    full rank almost surely for m >= 3; m < 3 raises DimensionMismatchError
+    before any draw.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if m < 3:
+        raise DimensionMismatchError(f"need at least 3 lights, got {m}")
     rows = substream(stream_key(seed, Stage.BASELINE, 0), 0).normal(size=(count, m, 3))
     rows /= np.linalg.norm(rows, axis=2, keepdims=True)
-    phis = phi_of_rows(rows, prior.m_agg)
-    return [(LightConfig(rows=rows[k]), float(phis[k])) for k in range(count)]
+    return list(zip(freeze(rows), phi_of_rows(rows, prior.m_agg).tolist()))
 
 
 def min_pairwise_angle_deg(rows: np.ndarray) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psdesign import (
+    DimensionMismatchError,
     LightConfig,
     NoiseSpec,
     NonUnitRowsError,
@@ -208,8 +209,30 @@ class TestBaselineRandom:
     def test_single_sample_reproducible(self):
         one = baseline_random(1, 3, ShapePrior.identity(), seed=9)
         two = baseline_random(1, 3, ShapePrior.identity(), seed=9)
-        assert np.array_equal(one[0][0].rows, two[0][0].rows)
+        assert np.array_equal(one[0][0], two[0][0])
         assert one[0][1] == two[0][1]
+
+    def test_rigs_are_sealed_views_of_one_buffer(self):
+        samples = baseline_random(50, 4, ShapePrior.identity(), seed=3)
+        assert len(samples) == 50
+        first = samples[0][0]
+        for rows, phi in samples:
+            assert isinstance(rows, np.ndarray) and rows.dtype == float
+            assert rows.shape == (4, 3) and not rows.flags.writeable
+            assert rows.base is first.base and not rows.base.flags.writeable
+            assert type(phi) is float
+        adopted = LightConfig(rows=samples[7][0]).rows
+        assert np.shares_memory(adopted, samples[7][0])
+        assert np.array_equal(adopted, samples[7][0])
+
+    @pytest.mark.parametrize(
+        "count, m, error",
+        [(0, 3, ValueError), (5, 0, DimensionMismatchError),
+         (5, 1, DimensionMismatchError), (5, 2, DimensionMismatchError)],
+    )
+    def test_bad_arguments_rejected(self, count, m, error):
+        with pytest.raises(error):
+            baseline_random(count, m, ShapePrior.identity(), seed=1)
 
     def test_identity_prior_floor(self):
         samples = baseline_random(100_000, 3, ShapePrior.identity(), seed=31)
@@ -219,8 +242,8 @@ class TestBaselineRandom:
     @pytest.mark.parametrize("m", [3, 4, 6, 16])
     def test_phi_matches_direct_evaluation(self, m):
         prior = ShapePrior(m_agg=np.diag([0.5, 0.7, 0.2]), pixel_count=3)
-        for lights, phi in baseline_random(2000, m, prior, seed=2):
-            assert phi == pytest.approx(phi_shape_aware(lights, prior), rel=1e-12)
+        for rows, phi in baseline_random(2000, m, prior, seed=2):
+            assert phi == pytest.approx(phi_shape_aware(LightConfig(rows=rows), prior), rel=1e-12)
 
 
 class TestHeuristicSpread:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from psdesign import (
-    LightConfig,
     OptimizerConfig,
     ShapePrior,
     Stage,
@@ -129,5 +128,5 @@ class TestNoCollisions:
                      "--out", str(tmp_path / "b")]) == 0
         [spec] = noise_specs  # the classic-PS pass behind the prior
         image0 = directions(noise_draws(spec.seed, M, 3 * M)[0])
-        assert not np.allclose(samples[0][0].rows, image0)
-        assert isinstance(samples[0][0], LightConfig) and len(samples) == 4
+        assert not np.allclose(samples[0][0], image0)
+        assert samples[0][0].shape == (M, 3) and len(samples) == 4
