@@ -48,10 +48,17 @@ class AngularErrorStats:
 
 
 def angular_error(a, b) -> float:
-    """Angle between two unit vectors, in degrees: arccos(clamp(a . b))."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(np.degrees(np.arccos(np.clip(a @ b, -1.0, 1.0))))
+    """Angle between two vectors, in degrees."""
+    return float(_angle_deg(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+
+
+def _angle_deg(a, b):
+    """Angle in degrees between a and b, each given by its x, y, z components:
+    atan2(|a x b|, a . b), which keeps full precision near 0 degrees, where
+    arccos of the dot product bottoms out around 1e-6 deg."""
+    (ax, ay, az), (bx, by, bz) = a, b
+    cross_sq = (ay * bz - az * by) ** 2 + (az * bx - ax * bz) ** 2 + (ax * by - ay * bx) ** 2
+    return np.degrees(np.arctan2(np.sqrt(cross_sq), ax * bx + ay * by + az * bz))
 
 
 def _error_map_deg(est: NormalMap, gt: NormalMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -62,12 +69,10 @@ def _error_map_deg(est: NormalMap, gt: NormalMap) -> tuple[np.ndarray, np.ndarra
         )
     joint = est.mask & gt.mask
     idx = np.flatnonzero(joint)
-    ax, ay, az = (est.normals[..., c].reshape(-1).take(idx) for c in range(3))
-    bx, by, bz = (gt.normals[..., c].reshape(-1).take(idx) for c in range(3))
-    cross_sq = (ay * bz - az * by) ** 2 + (az * bx - ax * bz) ** 2 + (ax * by - ay * bx) ** 2
-    # same angle as arccos of the dot product, but atan2 keeps full precision
-    # near 0 degrees, where arccos bottoms out around 1e-6 deg
-    samples = np.degrees(np.arctan2(np.sqrt(cross_sq), ax * bx + ay * by + az * bz))
+    samples = _angle_deg(
+        [est.normals[..., c].reshape(-1).take(idx) for c in range(3)],
+        [gt.normals[..., c].reshape(-1).take(idx) for c in range(3)],
+    )
     errors = np.full(joint.size, np.nan)
     errors[idx] = samples
     return errors.reshape(joint.shape), joint, samples

@@ -70,7 +70,8 @@ def _for_each(task, count: int, pixels: int) -> None:
 
 
 class Stage(enum.IntEnum):
-    """The stages that draw random numbers; each keys its own Philox streams."""
+    """The stages that draw random numbers; each keys its own Philox streams.
+    The heuristic spread and the orthogonal triad draw none."""
 
     NOISE = 0  # add_noise under a plain run seed
     RIG = 1  # the random imaging rig of a run config
@@ -78,7 +79,6 @@ class Stage(enum.IntEnum):
     BASELINE = 3  # baseline_random
     RERENDER = 4  # the pipeline's render under the optimized rig
     COMPARE = 5  # compare_configs, one key per config and trial
-    HEURISTIC = 6  # the starts of baseline_heuristic_spread
 
 
 def stream_key(seed: int, stage: Stage, index: int) -> int:

@@ -20,6 +20,7 @@ from .core import (
     DegenerateVectorError,
     DimensionMismatchError,
     EmptyMaskError,
+    InvalidSpecError,
     LightConfig,
     NonPositiveSigmaError,
     NormalMap,
@@ -79,9 +80,9 @@ class ShapePrior:
         if m.shape != (3, 3):
             raise DimensionMismatchError(f"prior matrix must be 3x3, got {m.shape}")
         if np.max(np.abs(m - m.T)) > PRIOR_SYM_TOL:
-            raise DimensionMismatchError("prior matrix must be symmetric")
+            raise InvalidSpecError("prior matrix must be symmetric")
         if np.min(np.linalg.eigvalsh(0.5 * (m + m.T))) < PRIOR_PSD_TOL:
-            raise DimensionMismatchError("prior matrix must be positive semidefinite")
+            raise InvalidSpecError("prior matrix must be positive semidefinite")
         object.__setattr__(self, "m_agg", _readonly(m))
         object.__setattr__(self, "pixel_count", int(self.pixel_count))
 

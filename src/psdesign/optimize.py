@@ -44,13 +44,16 @@ GRAD_TOL = 1e-8
 # Certified optimal: phi within this share of phi*.  No rig scores below phi*,
 # so no later restart can improve on a certified result by more than this.
 OPTIMALITY_RTOL = 1e-12
-HEURISTIC_SEED = 0x5F3D  # baseline_heuristic_spread is deterministic per m
 # Rank floor for the heuristic spread: the 3-light optimum is exactly coplanar,
 # which LightConfig rejects; nudging to this singular-value ratio keeps the
 # config constructible (and its phi astronomically large, as it should be)
 # while moving the pairwise angles by O(1e-14) degrees.
 HEURISTIC_RANK_FLOOR = 1e-7
-HEURISTIC_MAX_MOVE = 0.05  # per point and repulsion step
+# Heuristic spread ascent: step count, first step length and first softmin
+# temperature (both in chord length)
+HEURISTIC_STEPS = 3000
+HEURISTIC_FIRST_STEP = 0.02
+HEURISTIC_FIRST_TEMPERATURE = 0.05
 
 
 @dataclass(frozen=True)
@@ -247,47 +250,36 @@ def min_pairwise_angle_deg(rows: np.ndarray) -> float:
     return float(np.degrees(np.arccos(dots[iu].max())))
 
 
-def _repel(points: np.ndarray, exponent: float, iters: int, step: float) -> np.ndarray:
-    """Minimize sum of inverse-power pair potentials over (starts, m, 3) points.
-
-    Points step along the tangent part of their force, -(W P - <W P, p> p) with
-    w_ij = dist_ij^-(k+2); the rest, p_i * sum_j w_ij, is radial, and raw steps
-    along it overshoot and collide points at large k.  Moves are capped too.
-    """
-    pts = points.copy()
-    diagonal = np.arange(pts.shape[1])
-    for _ in range(iters):
-        dist = np.linalg.norm(pts[:, :, None, :] - pts[:, None, :, :], axis=-1)
-        dist[:, diagonal, diagonal] = np.inf
-        pull = dist ** -(exponent + 2.0) @ pts
-        radial = np.einsum("smc,smc->sm", pull, pts)
-        move = step * exponent * (radial[..., None] * pts - pull)
-        length = np.linalg.norm(move, axis=-1, keepdims=True)
-        move *= HEURISTIC_MAX_MOVE / np.maximum(length, HEURISTIC_MAX_MOVE)
-        pts = _renormalize_rows(pts + move)
-    return pts
-
-
 @functools.lru_cache(maxsize=64)
 def baseline_heuristic_spread(m: int) -> LightConfig:
-    """m unit directions maximizing the minimal pairwise angle (repulsion descent).
+    """m unit directions over the whole sphere with a large smallest pairwise
+    angle (the Tammes problem), by a deterministic ascent; no random draws.
 
-    For m = 3 the optimum is three coplanar directions 120 degrees apart, which
-    is rank deficient; the result is nudged out of plane to a singular-value
-    ratio of ~1e-7 so it remains a constructible configuration whose objective
-    value is finite but enormous.
-
-    The result depends on m alone (HEURISTIC_SEED) and a LightConfig is
-    immutable, so one is computed per m and shared by every caller.
+    From the golden spiral, each step moves every point along its tangent
+    plane away from its neighbours, weighted by a softmin of their chord
+    distance above the closest pair; the largest move is the step length.
+    Step length and temperature shrink linearly to zero.  The 3-light optimum
+    is coplanar, so it is nudged out of plane to a singular-value ratio of
+    HEURISTIC_RANK_FLOOR: constructible, with a finite but enormous phi.
+    One immutable result per m is cached.  m < 3 raises DimensionMismatchError.
     """
     if m < 3:
-        raise ValueError("need at least 3 lights")
-    key = stream_key(HEURISTIC_SEED, Stage.HEURISTIC, m)
-    pts = np.stack([random_unit_rows(m, substream(key, start)) for start in range(8)])
-    for exponent, iters, step in ((2.0, 600, 0.05), (8.0, 500, 0.01), (24.0, 400, 0.002)):
-        pts = _repel(pts, exponent, iters, step)
-    best = int(np.argmax([min_pairwise_angle_deg(rows) for rows in pts]))
-    return LightConfig(rows=_ensure_rank_floor(pts[best]))
+        raise DimensionMismatchError(f"need at least 3 lights, got {m}")
+    k = np.arange(m) + 0.5  # golden spiral: equal-area heights, golden-angle turns
+    z, azimuth = 1.0 - 2.0 * k / m, np.pi * (3.0 - np.sqrt(5.0)) * k
+    pts = np.stack([np.sqrt(1.0 - z * z) * np.cos(azimuth),
+                    np.sqrt(1.0 - z * z) * np.sin(azimuth), z], axis=1)
+    for i in range(HEURISTIC_STEPS):
+        left = 1.0 - i / HEURISTIC_STEPS
+        chord = np.sqrt(np.maximum(2.0 - 2.0 * (pts @ pts.T), 0.0))
+        np.fill_diagonal(chord, np.inf)
+        weight = np.exp((chord.min() - chord) / (HEURISTIC_FIRST_TEMPERATURE * left)) / chord
+        # sum_j weight_ij (p_i - p_j), less its radial part
+        pull = weight @ pts
+        push = np.einsum("ij,ij->i", pull, pts)[:, None] * pts - pull
+        scale = HEURISTIC_FIRST_STEP * left / np.linalg.norm(push, axis=1).max()
+        pts = _renormalize_rows(pts + scale * push)
+    return LightConfig(rows=_ensure_rank_floor(pts))
 
 
 def _ensure_rank_floor(rows: np.ndarray) -> np.ndarray:

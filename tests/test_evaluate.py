@@ -35,6 +35,12 @@ class TestAngularError:
         b = (0.0, np.sin(theta), np.cos(theta))
         assert angular_error((0, 0, 1), b) == pytest.approx(10.0, abs=1e-9)
 
+    def test_sub_arccos_tilt_measured(self):
+        # arccos of the dot product reads a 1e-6 degree tilt about 2e-7 off
+        theta = np.radians(1e-6)
+        b = (0.0, np.sin(theta), np.cos(theta))
+        assert angular_error((0, 0, 1), b) == pytest.approx(1e-6, abs=1e-9)
+
 
 def plane_maps(width=12, height=10):
     return generate(SceneSpec(kind="plane", width=width, height=height,

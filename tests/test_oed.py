@@ -5,6 +5,8 @@ from scipy import integrate
 
 from psdesign import (
     AlphaOutOfRangeError,
+    DimensionMismatchError,
+    InvalidSpecError,
     LightConfig,
     NonPositiveSigmaError,
     NormalMap,
@@ -283,6 +285,21 @@ class TestPhiLowerBound:
 # ---------------------------------------------------------------------------
 # shape prior construction
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "m_agg, error",
+    [
+        (np.eye(2), DimensionMismatchError),
+        (np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), InvalidSpecError),
+        (np.diag([1.0, 1.0, -0.5]), InvalidSpecError),
+    ],
+    ids=["not-3x3", "asymmetric", "not-psd"],
+)
+def test_shape_prior_rejects_bad_matrix(m_agg, error):
+    # a well-shaped 3x3 with bad values is an invalid spec, not a size mismatch
+    with pytest.raises(error):
+        ShapePrior(m_agg=m_agg, pixel_count=1)
+
+
 class TestBuildShapePrior:
     def map_of(self, normals):
         normals = np.asarray(normals, dtype=float)[None, :, :]

