@@ -35,6 +35,7 @@ from .core import (
     RankCollapseError,
     SingularLightMatrixError,
     freeze,
+    require_sigmas,
 )
 from .evaluate import AngularErrorStats, compare_configs, compare_maps
 from .forward import NoiseSpec, Stage, add_noise, render_stack, stream_key, substream
@@ -75,11 +76,8 @@ class RunConfig:
 
     def noise_sigmas(self, m: int) -> np.ndarray:
         if self.sigmas is not None:
-            sig = np.asarray(self.sigmas, dtype=float)
-            if sig.shape != (m,):
-                raise ConfigError(f"config lists {sig.size} sigmas for {m} lights")
-            return sig
-        return np.full(m, float(self.sigma or 0.0))
+            return require_sigmas(self.sigmas, m)
+        return require_sigmas(np.full(m, float(self.sigma or 0.0)))
 
 
 def _parse_albedo(raw: dict | None) -> AlbedoSpec:

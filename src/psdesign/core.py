@@ -39,7 +39,8 @@ class SingularLightMatrixError(PhotometryError):
 
 
 class NonPositiveSigmaError(PhotometryError):
-    """A noise level is negative, or zero where a positive value is required."""
+    """A noise level is negative or not finite, or zero where a positive value
+    is required."""
 
 
 class AlphaOutOfRangeError(PhotometryError):
@@ -81,6 +82,24 @@ def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
             and isinstance(a.base, np.ndarray) and not a.base.flags.writeable):
         return a
     return freeze(np.array(a, dtype=dtype, copy=True))
+
+
+def require_sigmas(sigmas, count: int | None = None, positive: bool = False) -> np.ndarray:
+    """Validate a flat sequence of noise levels, ``count`` of them when given.
+
+    Every level must be finite and >= 0, or > 0 when ``positive``.  Returns
+    the levels as a float64 array.
+    """
+    sig = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    if sig.ndim != 1:
+        raise DimensionMismatchError("sigmas must be a flat sequence")
+    if count is not None and sig.shape[0] != count:
+        raise DimensionMismatchError(f"got {sig.shape[0]} noise levels, expected {count}")
+    if not np.all(np.isfinite(sig) & ((sig > 0.0) if positive else (sig >= 0.0))):
+        raise NonPositiveSigmaError(
+            f"noise levels must be finite and {'> 0' if positive else '>= 0'}, got {sig}"
+        )
+    return sig
 
 
 def normalize(v) -> tuple[np.ndarray, float]:
@@ -225,15 +244,9 @@ class IntensityStack:
 
     def __post_init__(self):
         images = np.asarray(self.images, dtype=float)
-        sigmas = np.atleast_1d(np.asarray(self.sigmas, dtype=float))
         if images.ndim != 3:
             raise DimensionMismatchError(f"images must be (m, H, W), got {images.shape}")
-        if sigmas.shape != (images.shape[0],):
-            raise DimensionMismatchError(
-                f"got {sigmas.shape[0]} sigmas for {images.shape[0]} images"
-            )
-        if np.any(sigmas < 0.0):
-            raise NonPositiveSigmaError("noise levels must be >= 0")
+        sigmas = require_sigmas(self.sigmas, images.shape[0])
         object.__setattr__(self, "images", _readonly(images))
         object.__setattr__(self, "sigmas", _readonly(sigmas))
 
@@ -250,18 +263,23 @@ class IntensityStack:
         return self.images.shape[2]
 
 
-def require_spd(matrix: np.ndarray, tol: float = UNIT_TOL) -> np.ndarray:
-    """Validate that a 3x3 matrix is symmetric positive definite.
+def require_spd(matrix: np.ndarray, semidefinite: bool = False) -> np.ndarray:
+    """Validate a finite, symmetric 3x3 matrix that is positive definite, or
+    positive semidefinite when ``semidefinite``.
 
-    Symmetry is checked within ``tol``; eigenvalues must be strictly positive.
-    Returns the validated array (as float64).
+    Symmetry is checked within UNIT_TOL; a semidefinite matrix may have
+    eigenvalues down to -UNIT_TOL, its roundoff.  Returns the validated array
+    (as float64).
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
         raise DimensionMismatchError(f"expected a 3x3 matrix, got {m.shape}")
-    if np.max(np.abs(m - m.T)) > tol:
+    if not np.all(np.isfinite(m)):
+        raise InvalidSpecError("matrix has non-finite entries")
+    if np.max(np.abs(m - m.T)) > UNIT_TOL:
         raise InvalidSpecError("matrix is not symmetric within tolerance")
     eigvals = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if np.any(eigvals <= 0.0):
-        raise InvalidSpecError(f"matrix is not positive definite (eigenvalues {eigvals})")
+    if (eigvals[0] < -UNIT_TOL) if semidefinite else (eigvals[0] <= 0.0):
+        kind = "semidefinite" if semidefinite else "definite"
+        raise InvalidSpecError(f"matrix is not positive {kind} (eigenvalues {eigvals})")
     return m

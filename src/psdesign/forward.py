@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +19,15 @@ from .core import (
     DimensionMismatchError,
     IntensityStack,
     LightConfig,
-    NonPositiveSigmaError,
     NormalMap,
     _readonly,
     freeze,
+    require_sigmas,
 )
 
 # Per-image work below this many pixels runs in a plain loop: on a 2-core Xeon
 # the hand-off to a thread cost more than it saved below about 256 x 256.
 PARALLEL_MIN_PIXELS = 1 << 16
-_POOL = None  # created on first use, sized to the CPUs this process may run on
-_POOL_LOCK = threading.Lock()
 
 
 def _cpu_count() -> int:
@@ -39,34 +37,22 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _forget_pool() -> None:
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the pool object but none of its threads
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _for_each(task, count: int, pixels: int) -> None:
     """Run ``task(i)`` for i in range(count), each on an image of ``pixels``
-    pixels, concurrently on up to min(CPUs, count) threads; tasks must write
-    disjoint outputs."""
-    cpus = _cpu_count()
-    if min(cpus, count) <= 1 or pixels < PARALLEL_MIN_PIXELS:
+    pixels; tasks must write disjoint outputs.
+
+    Images of at least PARALLEL_MIN_PIXELS run on min(CPUs, count) threads
+    that start and end within this call; anything smaller, or a single CPU,
+    runs in a plain loop.  A task's exception is raised once every task that
+    started has finished, and the tasks not yet started are dropped."""
+    workers = min(_cpu_count(), count)
+    if workers <= 1 or pixels < PARALLEL_MIN_PIXELS:
         for i in range(count):
             task(i)
         return
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _POOL = ThreadPoolExecutor(max_workers=cpus, thread_name_prefix="psdesign")
-        pool = _POOL
-    for _ in pool.map(task, range(count)):  # re-raises a task's exception
-        pass
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="psdesign") as pool:
+        for _ in pool.map(task, range(count)):  # re-raises a task's exception
+            pass
 
 
 class Stage(enum.IntEnum):
@@ -114,12 +100,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        sigmas = np.atleast_1d(np.asarray(self.sigmas, dtype=float))
-        if sigmas.ndim != 1:
-            raise DimensionMismatchError("sigmas must be a flat sequence")
-        if np.any(sigmas < 0.0):
-            raise NonPositiveSigmaError("noise levels must be >= 0")
-        object.__setattr__(self, "sigmas", _readonly(sigmas))
+        object.__setattr__(self, "sigmas", _readonly(require_sigmas(self.sigmas)))
         object.__setattr__(self, "seed", int(self.seed))
 
     @classmethod
@@ -166,14 +147,12 @@ def add_noise(stack: IntensityStack, noise: NoiseSpec) -> IntensityStack:
     Deterministic given the seed: image i is, bit for bit,
     ``clean_i + substream(seed, i).normal(0.0, sigma_i, shape)``, written once
     into a new stack.  Images of at least PARALLEL_MIN_PIXELS pixels are filled
-    concurrently on the CPUs this process may use; the streams are independent,
-    so the bytes do not depend on the thread count.  Results are not clamped,
-    so negative intensities can occur near shadow.
+    concurrently, on at most one thread per CPU this process may use and per
+    image; the threads start and end within this call.  The streams are
+    independent, so the bytes do not depend on the thread count.  Results are
+    not clamped, so negative intensities can occur near shadow.
     """
-    if noise.sigmas.shape[0] != stack.m:
-        raise DimensionMismatchError(
-            f"got {noise.sigmas.shape[0]} noise levels for {stack.m} images"
-        )
+    require_sigmas(noise.sigmas, stack.m)
     clean = stack.images
     images = np.empty(clean.shape)
 

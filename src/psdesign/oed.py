@@ -18,19 +18,14 @@ from scipy import stats
 from .core import (
     AlphaOutOfRangeError,
     DegenerateVectorError,
-    DimensionMismatchError,
     EmptyMaskError,
-    InvalidSpecError,
     LightConfig,
-    NonPositiveSigmaError,
     NormalMap,
     _readonly,
+    require_sigmas,
     require_spd,
 )
 from .solver import PixelEstimate
-
-PRIOR_SYM_TOL = 1e-12
-PRIOR_PSD_TOL = -1e-12
 
 
 @dataclass(frozen=True)
@@ -76,14 +71,8 @@ class ShapePrior:
     pixel_count: int
 
     def __post_init__(self):
-        m = np.asarray(self.m_agg, dtype=float)
-        if m.shape != (3, 3):
-            raise DimensionMismatchError(f"prior matrix must be 3x3, got {m.shape}")
-        if np.max(np.abs(m - m.T)) > PRIOR_SYM_TOL:
-            raise InvalidSpecError("prior matrix must be symmetric")
-        if np.min(np.linalg.eigvalsh(0.5 * (m + m.T))) < PRIOR_PSD_TOL:
-            raise InvalidSpecError("prior matrix must be positive semidefinite")
-        object.__setattr__(self, "m_agg", _readonly(m))
+        m_agg = require_spd(self.m_agg, semidefinite=True)
+        object.__setattr__(self, "m_agg", _readonly(m_agg))
         object.__setattr__(self, "pixel_count", int(self.pixel_count))
 
     @classmethod
@@ -98,11 +87,7 @@ def covariance(lights: LightConfig, sigmas) -> EstimateCovariance:
     W = diag(1/sigma_i^2); for equal sigmas this is sigma^2 (S^T S)^-1.
     All noise levels must be strictly positive.
     """
-    sig = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if sig.shape != (lights.m,):
-        raise DimensionMismatchError(f"got {sig.shape[0]} sigmas for {lights.m} lights")
-    if np.any(sig <= 0.0):
-        raise NonPositiveSigmaError("covariance requires strictly positive noise levels")
+    sig = require_sigmas(sigmas, lights.m, positive=True)
     whitened = lights.rows / sig[:, None]
     info = whitened.T @ whitened
     return EstimateCovariance(matrix=np.linalg.inv(info))

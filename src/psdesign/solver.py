@@ -27,6 +27,7 @@ from .core import (
     NonPositiveSigmaError,
     NormalMap,
     freeze,
+    require_sigmas,
 )
 
 DEGENERATE_NORM = 1e-9
@@ -56,11 +57,7 @@ def _noise_terms(lights: LightConfig, sigmas) -> tuple[np.ndarray, float]:
     unweighted solve; mixed zero/positive sigmas have no consistent weighting
     and are rejected.
     """
-    sig = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if sig.shape != (lights.m,):
-        raise DimensionMismatchError(f"got {sig.shape[0]} sigmas for {lights.m} lights")
-    if np.any(sig < 0.0):
-        raise NonPositiveSigmaError("noise levels must be >= 0")
+    sig = require_sigmas(sigmas, lights.m)
     tau = max(3.0 * float(sig.max()), MIN_SHADOW_TAU)
     if np.ptp(sig) == 0.0:
         return np.ones(lights.m), tau

@@ -225,6 +225,15 @@ def test_unknown_optimizer_setting_is_usage_error(tmp_path, key):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
+def test_bad_noise_level_is_numeric_error(tmp_path, sigma):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out = tmp_path / "out"
+    assert main(["render", "--config", str(cfg_path), "--sigma", sigma, "--out", str(out)]) == 2
+    assert not (out / "render.json").exists()
+
+
 def test_exit_codes(tmp_path):
     # missing config file: I/O error
     assert main(["render", "--config", str(tmp_path / "nope.json")]) == 3

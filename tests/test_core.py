@@ -8,10 +8,14 @@ from psdesign import (
     DimensionMismatchError,
     IntensityStack,
     LightConfig,
+    NoiseSpec,
+    NonPositiveSigmaError,
     NonUnitRowsError,
     NormalMap,
     SingularLightMatrixError,
+    covariance,
     normalize,
+    solve_lsq,
 )
 from psdesign.core import freeze, require_spd, InvalidSpecError
 
@@ -133,6 +137,22 @@ class TestIntensityStack:
 
         with pytest.raises(NonPositiveSigmaError):
             IntensityStack(images=np.zeros((2, 1, 1)), sigmas=[-0.1, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda sigmas: NoiseSpec(sigmas=sigmas),
+        lambda sigmas: IntensityStack(images=np.zeros((3, 1, 1)), sigmas=sigmas),
+        lambda sigmas: solve_lsq(np.ones(3), LightConfig(rows=np.eye(3)), sigmas),
+        lambda sigmas: covariance(LightConfig(rows=np.eye(3)), sigmas),
+    ],
+    ids=["NoiseSpec", "IntensityStack", "solve_lsq", "covariance"],
+)
+def test_non_finite_sigma_rejected(check, bad):
+    with pytest.raises(NonPositiveSigmaError):
+        check([bad, 0.1, 0.1])
 
 
 def up_normals(h=3, w=4):

@@ -215,15 +215,24 @@ def child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
 
 
-# Runs noise_digest in a process that may use one CPU only.
+# Runs noise_digest in a process that may use one CPU only, where building a
+# thread pool is an error: one CPU must fill the images in a plain loop.
 ONE_CPU_CHILD = """
 import os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from psdesign import forward
 from test_forward import noise_digest
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("one CPU must fill the images in a plain loop")
+
+forward.ThreadPoolExecutor = no_pool
 print(noise_digest(int(sys.argv[1])))
-assert forward._POOL is None, "one CPU must fill the images in a plain loop"
 """
+
+
+def psdesign_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("psdesign")]
 
 
 class TestNoiseExactness:
@@ -250,20 +259,8 @@ class TestNoiseExactness:
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == noise_digest(m)
 
-    def test_concurrent_callers_share_one_pool(self, monkeypatch):
-        import concurrent.futures
-
-        created = []
-
-        class CountedPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                created.append(self)
-                time.sleep(0.05)  # widens the window a check-then-create race needs
-                super().__init__(*args, **kwargs)
-
+    def test_concurrent_callers_leave_no_threads(self):
         expected = {m: noise_digest(m) for m in (3, 6)}
-        monkeypatch.setattr(forward, "_POOL", None)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
         callers = 4 * max(2, os.cpu_count() or 1)  # more threads than CPUs
         start = threading.Barrier(callers)
         got = [None] * callers
@@ -284,14 +281,37 @@ class TestNoiseExactness:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert got == [expected[(3, 6)[k % 2]] for k in range(callers)]
-        assert len(created) == (1 if forward._cpu_count() > 1 else 0)
-        if created:
-            created[0].shutdown()
+        assert psdesign_threads() == []
+
+    def test_raising_task_waits_for_its_siblings(self):
+        running = set()
+        lock = threading.Lock()
+        sibling_started = threading.Event()
+
+        def task(i):
+            with lock:
+                running.add(i)
+            try:
+                if i == 0:
+                    # on threads, fail while a sibling is still at work; the
+                    # plain loop of one CPU never starts task 1
+                    sibling_started.wait(timeout=10 if forward._cpu_count() > 1 else 0)
+                    raise RuntimeError("task 0 failed")
+                sibling_started.set()
+                time.sleep(0.2)
+            finally:
+                with lock:
+                    running.discard(i)
+
+        with pytest.raises(RuntimeError, match="task 0 failed"):
+            forward._for_each(task, 2, forward.PARALLEL_MIN_PIXELS)
+        assert running == set()
+        assert psdesign_threads() == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_forked_child_fills_noise(self):
-        # the child inherits the pool object without its threads; with a
-        # stale pool its add_noise would wait forever, so the alarm ends it
+        # the parent has filled noise on threads before it forks; the child
+        # must start threads of its own, and the alarm ends it if it hangs
         child = subprocess.run([sys.executable, "-c", FORK_CHILD], env=child_env(),
                                capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
@@ -300,7 +320,7 @@ class TestNoiseExactness:
 FORK_CHILD = """
 import os, signal
 from test_forward import noise_digest
-expected = noise_digest(16)  # creates the pool on more than one CPU
+expected = noise_digest(16)  # runs threads on more than one CPU
 pid = os.fork()
 if pid == 0:
     signal.alarm(30)

@@ -6,6 +6,7 @@ from scipy import integrate
 from psdesign import (
     AlphaOutOfRangeError,
     DimensionMismatchError,
+    EstimateCovariance,
     InvalidSpecError,
     LightConfig,
     NonPositiveSigmaError,
@@ -298,6 +299,19 @@ def test_shape_prior_rejects_bad_matrix(m_agg, error):
     # a well-shaped 3x3 with bad values is an invalid spec, not a size mismatch
     with pytest.raises(error):
         ShapePrior(m_agg=m_agg, pixel_count=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "check",
+    [lambda m: ShapePrior(m_agg=m, pixel_count=1), lambda m: EstimateCovariance(matrix=m)],
+    ids=["ShapePrior", "EstimateCovariance"],
+)
+def test_non_finite_matrix_rejected(check, bad):
+    m = np.eye(3)
+    m[2, 2] = bad
+    with pytest.raises(InvalidSpecError):
+        check(m)
 
 
 class TestBuildShapePrior:
