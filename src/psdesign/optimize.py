@@ -107,7 +107,10 @@ def _renormalize_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def random_unit_rows(m: int, rng: np.random.Generator) -> np.ndarray:
-    """m directions i.i.d. uniform on the unit sphere, resampled if coplanar."""
+    """m directions i.i.d. uniform on the unit sphere, resampled if coplanar.
+    m < 3 raises DimensionMismatchError before any draw."""
+    if m < 3:
+        raise DimensionMismatchError(f"need at least 3 lights, got {m}")
     while True:
         rows = rng.normal(size=(m, 3))
         norms = np.linalg.norm(rows, axis=1)

@@ -40,14 +40,12 @@ class PixelEstimate:
     """Unnormalized solution n_tilde with its albedo/normal factorization.
 
     When valid, albedo equals |n_tilde| and normal equals n_tilde / |n_tilde|.
-    ``residual`` is the (whitened, when weighted) least-squares residual norm.
     """
 
     n_tilde: np.ndarray
     albedo: float
     normal: np.ndarray
     valid: bool
-    residual: float = 0.0
 
 
 def _noise_terms(lights: LightConfig, sigmas) -> tuple[np.ndarray, float]:
@@ -70,7 +68,7 @@ def _noise_terms(lights: LightConfig, sigmas) -> tuple[np.ndarray, float]:
 
 def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas):
     """The one per-pixel kernel: n_tilde as (3, P) for an (m, P) stack, its
-    norms, the weights, and which pixels are neither shadowed nor degenerate
+    norms, and which pixels are neither shadowed nor degenerate
     (|n_tilde| <= 1e-9).  The weights sit in the columns of the pseudo-inverse,
     so the stack itself is never scaled."""
     w, tau = _noise_terms(lights, sigmas)
@@ -82,17 +80,28 @@ def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas):
     for row in flat[1:]:
         lit &= row >= tau
     ok = lit & (norms > DEGENERATE_NORM)
-    return n_tilde, norms, w, ok
+    return n_tilde, norms, ok
 
 
 def _solve_pixel(intensities: np.ndarray, lights: LightConfig, sigmas) -> PixelEstimate:
-    n_tilde, norms, w, ok = _solve_columns(intensities[:, None], lights, sigmas)
+    n_tilde, norms, ok = _solve_columns(intensities[:, None], lights, sigmas)
     n_tilde, norm, valid = n_tilde[:, 0], float(norms[0]), bool(ok[0])
-    return PixelEstimate(
-        n_tilde=n_tilde, albedo=norm,
-        normal=n_tilde / norm if valid else CAMERA_AXIS.copy(), valid=valid,
-        residual=float(np.linalg.norm(w * (intensities - lights.rows @ n_tilde))),
-    )
+    return PixelEstimate(n_tilde=n_tilde, albedo=norm,
+                         normal=n_tilde / norm if valid else CAMERA_AXIS.copy(), valid=valid)
+
+
+def _unit_columns(flat: np.ndarray, lights: LightConfig, sigmas):
+    """Unit normals (3, P), albedo (P,) and validity (P,) for an (m, P) stack.
+
+    A pixel is invalid when it is shadowed, degenerate or faces away from the
+    camera (z <= 0); its column holds the camera axis.  All three arrays are
+    fresh, so callers may seal them.
+    """
+    normals, albedo, ok = _solve_columns(flat, lights, sigmas)
+    valid = ok & (normals[2] > 0.0)
+    normals /= np.where(valid, albedo, 1.0)
+    np.copyto(normals, CAMERA_AXIS[:, None], where=~valid)
+    return normals, albedo, valid
 
 
 def solve_exact(intensities, lights: LightConfig) -> PixelEstimate:
@@ -133,12 +142,9 @@ def solve_map(stack: IntensityStack, lights: LightConfig) -> tuple[NormalMap, Al
     if stack.m != lights.m:
         raise DimensionMismatchError(f"stack has {stack.m} images but config has {lights.m} lights")
     h, w_px = stack.height, stack.width
-    n_tilde, norms, _, ok = _solve_columns(stack.images.reshape(stack.m, -1), lights, stack.sigmas)
-    valid = ok & (n_tilde[2] > 0.0)
-    n_tilde /= np.where(valid, norms, 1.0)
-    np.copyto(n_tilde, CAMERA_AXIS[:, None], where=~valid)
+    normals, albedo, valid = _unit_columns(stack.images.reshape(stack.m, -1), lights, stack.sigmas)
     # the maps adopt these fresh buffers; (3, P) transposed is a strided view
     # of the (H, W, 3) map, not a copy
-    nmap = NormalMap(normals=freeze(n_tilde).T.reshape(h, w_px, 3),
+    nmap = NormalMap(normals=freeze(normals).T.reshape(h, w_px, 3),
                      mask=freeze(valid).reshape(h, w_px))
-    return nmap, AlbedoMap(values=freeze(norms).reshape(h, w_px))
+    return nmap, AlbedoMap(values=freeze(albedo).reshape(h, w_px))

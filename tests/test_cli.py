@@ -234,6 +234,15 @@ def test_bad_noise_level_is_numeric_error(tmp_path, sigma):
     assert not (out / "render.json").exists()
 
 
+def test_random_rig_with_no_lights_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, lights={"baseline": "random", "m": 0})
+    out = tmp_path / "out"
+    assert main(["render", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "render.json").exists()
+
+
 def test_exit_codes(tmp_path):
     # missing config file: I/O error
     assert main(["render", "--config", str(tmp_path / "nope.json")]) == 3

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from psdesign import (
     LightConfig,
     NoiseSpec,
     NormalMap,
+    Stage,
     add_noise,
     angular_error,
     baseline_orthogonal_triad,
@@ -16,7 +19,9 @@ from psdesign import (
     covariance,
     render_stack,
     solve_map,
+    stream_key,
 )
+from psdesign.evaluate import HISTOGRAM_EDGES
 from psdesign.oed import build_shape_prior
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
 
@@ -171,6 +176,64 @@ class TestCompareConfigs:
         table = compare_configs(nmap, amap, {"dark": dark}, sigma=0.01, trials=2, seed=5)
         assert table[0].note == "no-valid-pixels"
         assert table[0].stats is None
+
+    def configs(self):
+        azimuths = np.radians([0.0, 90.0, 180.0, 270.0])
+        slant = np.radians(30.0)
+        ring = np.stack([np.sin(slant) * np.cos(azimuths), np.sin(slant) * np.sin(azimuths),
+                         np.full(4, np.cos(slant))], axis=1)
+        return {"triad": baseline_orthogonal_triad(), "ring": LightConfig(rows=ring)}
+
+    def test_matches_the_map_path(self):
+        # the reference solves every trial into maps and scores each with
+        # compare_maps, in the order compare_configs draws its trial keys
+        nmap, amap = self.scene()
+        sigma, trials, seed = 0.02, 3, 11
+        configs = self.configs()
+        table = compare_configs(nmap, amap, configs, sigma=sigma, trials=trials, seed=seed)
+        k = itertools.count()
+        for row, lights in zip(table, configs.values()):
+            clean = render_stack(nmap, amap, lights)
+            pooled = []
+            for _ in range(trials):
+                key = stream_key(seed, Stage.COMPARE, next(k))
+                est, _ = solve_map(add_noise(clean, NoiseSpec.uniform(sigma, lights.m, seed=key)),
+                                   lights)
+                pooled.append(compare_maps(est, nmap).error_map[est.mask & nmap.mask])
+            samples = np.concatenate(pooled)
+            counts = np.append(np.histogram(samples, bins=HISTOGRAM_EDGES)[0],
+                               np.count_nonzero(samples >= HISTOGRAM_EDGES[-1]))
+            assert row.note == "ok"
+            assert row.stats.mean_deg == samples.mean()
+            assert row.stats.median_deg == np.median(samples)
+            assert row.stats.p90_deg == np.percentile(samples, 90.0)
+            assert row.stats.max_deg == samples.max()
+            assert row.stats.count == samples.size
+            assert np.array_equal(row.stats.histogram_counts, counts)
+
+    def test_builds_no_per_trial_maps(self, monkeypatch):
+        nmap, amap = self.scene()
+        prior = build_shape_prior(nmap)
+        built = []
+        for cls in (NormalMap, AlbedoMap):
+            def counting(self, validate=cls.__post_init__):
+                built.append(type(self).__name__)
+                validate(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        table = compare_configs(nmap, amap, self.configs(), sigma=0.02, trials=3, seed=1,
+                                prior=prior)
+        assert [row.note for row in table] == ["ok", "ok"]
+        assert built == []
+
+    def test_rows_carry_no_error_map(self):
+        nmap, amap = self.scene()
+        table = compare_configs(nmap, amap, self.configs(), sigma=0.02, trials=2, seed=4)
+        for row in table:
+            assert row.stats.error_map is None
+            assert row.stats.histogram_edges is HISTOGRAM_EDGES
+        assert np.array_equal(HISTOGRAM_EDGES, np.arange(0.0, 30.25, 0.5))
+        with pytest.raises(ValueError):
+            HISTOGRAM_EDGES[0] = 1.0
 
     def test_more_than_64_lights_draw_distinct_trial_streams(self, noise_specs):
         nmap, amap = self.scene()

@@ -29,6 +29,7 @@ from psdesign.optimize import (
     HEURISTIC_RANK_FLOOR,
     OPTIMALITY_RTOL,
     min_pairwise_angle_deg,
+    random_hemisphere_rows,
     random_unit_rows,
 )
 from psdesign.scenes import SceneSpec, generate
@@ -244,6 +245,20 @@ class TestBaselineRandom:
         prior = ShapePrior(m_agg=np.diag([0.5, 0.7, 0.2]), pixel_count=3)
         for rows, phi in baseline_random(2000, m, prior, seed=2):
             assert phi == pytest.approx(phi_shape_aware(LightConfig(rows=rows), prior), rel=1e-12)
+
+
+class NoDraws:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
+@pytest.mark.parametrize("draw", [random_unit_rows, random_hemisphere_rows])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_random_rows_need_three_lights(draw, m):
+    with pytest.raises(DimensionMismatchError, match=f"need at least 3 lights, got {m}"):
+        draw(m, NoDraws())
 
 
 # Best-known Tammes angles in degrees: the largest possible smallest pairwise

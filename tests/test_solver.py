@@ -262,7 +262,7 @@ class TestSolveMap:
         flat[2, 2] = np.nextafter(tau, 0.0)  # just below: shadowed
         flat[0, 3] = np.nan  # NaN: fails through its NaN norm
         flat[:, 4] = [np.nan, tau, 0.0]
-        _, norms, _, ok = _solve_columns(flat, lights, sigmas)
+        _, norms, ok = _solve_columns(flat, lights, sigmas)
         before = ~np.any(flat < tau, axis=0) & (norms > DEGENERATE_NORM)
         assert np.array_equal(ok, before)
         assert ok.tolist() == [True, True, False, False, False]
