@@ -7,7 +7,6 @@ bins of HISTOGRAM_EDGES on [0, 30] with a final overflow bin.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -21,9 +20,9 @@ from .core import (
     NormalMap,
     freeze,
 )
-from .forward import NoiseSpec, Stage, add_noise, render_stack, stream_key
+# add_noise and solve_map are not called here, but perfbench's traced run patches them here
+from .forward import NoiseSpec, Stage, _fill_noise, add_noise, render_stack, stream_key  # noqa: F401
 from .oed import ShapePrior, build_shape_prior, phi_shape_aware
-# solve_map is not called here, but perfbench's traced run patches it here
 from .solver import _unit_columns, solve_map  # noqa: F401
 
 HISTOGRAM_EDGES = freeze(np.arange(0.0, 30.25, 0.5))
@@ -64,24 +63,24 @@ def _angle_deg(a, b):
     return np.degrees(np.arctan2(np.sqrt(cross_sq), ax * bx + ay * by + az * bz))
 
 
-def _joint_errors(est_xyz: np.ndarray, est_mask: np.ndarray, gt: NormalMap):
-    """Flat indices of the pixels valid in both an estimate and ``gt``, and
-    the angular errors there.  The estimate comes as (3, P) unit normals and a
-    (P,) mask, in ``gt``'s row-major pixel order."""
-    idx = np.flatnonzero(est_mask & gt.mask.reshape(-1))
-    gt_xyz = gt.normals.reshape(-1, 3).T
+def _joint_errors(est_xyz, est_mask, gt_xyz, gt_mask):
+    """Flat indices of the pixels valid in both an estimate and the ground
+    truth, and the angular errors there.  Each comes as (3, P) unit normals
+    and a (P,) mask, in one row-major pixel order."""
+    idx = np.flatnonzero(est_mask & gt_mask)
     return idx, _angle_deg(est_xyz.take(idx, axis=1), gt_xyz.take(idx, axis=1))
 
 
 def _stats_from_samples(samples: np.ndarray, error_map: np.ndarray | None) -> AngularErrorStats:
+    """Statistics of ``samples``, which the median and p90 reorder in place."""
     if samples.size == 0:
         raise EmptyMaskError("no valid pixels in common")
     counts = np.histogram(samples, bins=HISTOGRAM_EDGES)[0]
     overflow = int(np.count_nonzero(samples >= HISTOGRAM_EDGES[-1]))
-    return AngularErrorStats(
+    return AngularErrorStats(  # arguments run in order: the mean sums before any reordering
         mean_deg=float(samples.mean()),
-        median_deg=float(np.median(samples)),
-        p90_deg=float(np.percentile(samples, 90.0)),
+        median_deg=float(np.median(samples, overwrite_input=True)),
+        p90_deg=float(np.percentile(samples, 90.0, overwrite_input=True)),
         max_deg=float(samples.max()),
         histogram_edges=HISTOGRAM_EDGES,
         histogram_counts=np.append(counts, overflow),
@@ -100,7 +99,8 @@ def compare_maps(est: NormalMap, gt: NormalMap) -> AngularErrorStats:
         raise DimensionMismatchError(
             f"maps differ in size: {est.height}x{est.width} vs {gt.height}x{gt.width}"
         )
-    idx, samples = _joint_errors(est.normals.reshape(-1, 3).T, est.mask.reshape(-1), gt)
+    idx, samples = _joint_errors(est.normals.reshape(-1, 3).T, est.mask.reshape(-1),
+                                 gt.normals.reshape(-1, 3).T, gt.mask.reshape(-1))
     errors = np.full(gt.mask.size, np.nan)
     errors[idx] = samples
     return _stats_from_samples(samples, errors.reshape(gt.mask.shape))
@@ -128,40 +128,41 @@ def compare_configs(
 ) -> list[ConfigComparison]:
     """Monte Carlo comparison of named light configurations on one scene.
 
-    Per config and trial: render, add noise from a fresh stream key, solve and
-    score against ground truth on the solver's (3, P) arrays, building no map.
-    Samples are pooled across trials, so the stats carry no error map
-    (``error_map`` is None); each row also records the shape-aware objective
-    under the scene's prior.
-    A config that leaves no pixel valid in any trial is reported with
-    note="no-valid-pixels" and no error statistics.  The k-th trial over all
-    configs, in order, draws from ``stream_key(seed, Stage.COMPARE, k)``,
-    whatever the configs' light counts.
+    Trial k draws sigma-scaled noise once, for max(m) images: image i from
+    ``substream(stream_key(seed, Stage.COMPARE, k), i)``.  Each config adds
+    its first m images to its clean stack (common random numbers), so a row
+    does not depend on the configs beside it, and solves and scores it on the
+    solver's (3, P) arrays.  The noise and noisy stacks are two buffers reused
+    by every trial; every config's clean stack lives for the whole call.
+    Samples are pooled across trials, so the stats carry no error map; a
+    config that leaves no pixel valid in any trial gets note="no-valid-pixels"
+    and no stats.  Each row also records phi under the scene's prior.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if prior is None:
         prior = build_shape_prior(gt_normals)
-    results = []
-    keys = (stream_key(seed, Stage.COMPARE, k) for k in itertools.count())
-    for name, lights in configs.items():
-        phi = phi_shape_aware(lights, prior)
-        clean = render_stack(gt_normals, albedo, lights)
-        pooled = []
-        for key in itertools.islice(keys, trials):
-            noise = NoiseSpec.uniform(sigma, lights.m, seed=key)
-            # no name holds the noisy stack, so it is freed once it is solved
-            normals, _, valid = _unit_columns(
-                add_noise(clean, noise).images.reshape(lights.m, -1), lights, noise.sigmas)
-            pooled.append(_joint_errors(normals, valid, gt_normals)[1])
-        samples = np.concatenate(pooled)
-        if samples.size == 0:
-            # e.g. a light below the horizon shadows the whole scene
-            results.append(
-                ConfigComparison(name=name, lights=lights, phi=phi,
-                                 stats=None, note="no-valid-pixels")
-            )
-            continue
-        results.append(ConfigComparison(name=name, lights=lights, phi=phi,
-                                        stats=_stats_from_samples(samples, None)))
-    return results
+    cleans = [render_stack(gt_normals, albedo, c).images.reshape(c.m, -1) for c in configs.values()]
+    # a contiguous copy: gathering pixels from the strided (H, W, 3) view is slower
+    gt_xyz = np.ascontiguousarray(gt_normals.normals.reshape(-1, 3).T)
+    gt_mask = gt_normals.mask.reshape(-1)
+    noise = np.empty((max((len(clean) for clean in cleans), default=0), gt_mask.size))
+    noisy = np.empty_like(noise)
+    # a config pools at most this many errors; pages never written are never
+    # committed, so no per-trial piece is kept and no concatenated copy made
+    pooled = [np.empty(trials * int(np.count_nonzero(gt_mask))) for _ in cleans]
+    counts = [0] * len(cleans)
+    for k in range(trials):
+        spec = NoiseSpec.uniform(sigma, len(noise), seed=stream_key(seed, Stage.COMPARE, k))
+        _fill_noise(noise, spec)
+        for c, (lights, clean) in enumerate(zip(configs.values(), cleans)):
+            flat = np.add(clean, noise[:lights.m], out=noisy[:lights.m])
+            normals, _, valid = _unit_columns(flat, lights, spec.sigmas[:lights.m])
+            errors = _joint_errors(normals, valid, gt_xyz, gt_mask)[1]
+            pooled[c][counts[c]:counts[c] + errors.size] = errors
+            counts[c] += errors.size
+    # no samples: e.g. a light below the horizon shadows the whole scene
+    return [ConfigComparison(name=name, lights=lights, phi=phi_shape_aware(lights, prior),
+                             stats=_stats_from_samples(samples[:count], None) if count else None,
+                             note="ok" if count else "no-valid-pixels")
+            for (name, lights), samples, count in zip(configs.items(), pooled, counts)]

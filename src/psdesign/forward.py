@@ -64,7 +64,7 @@ class Stage(enum.IntEnum):
     RESTART = 2  # the random starts of optimize_lights
     BASELINE = 3  # baseline_random
     RERENDER = 4  # the pipeline's render under the optimized rig
-    COMPARE = 5  # compare_configs, one key per config and trial
+    COMPARE = 5  # compare_configs, one key per trial; config c uses its first m_c images
 
 
 def stream_key(seed: int, stage: Stage, index: int) -> int:
@@ -141,29 +141,33 @@ def render_stack(nmap: NormalMap, amap: AlbedoMap, lights: LightConfig) -> Inten
     return IntensityStack(images=freeze(images), sigmas=np.zeros(lights.m))
 
 
+def _fill_noise(out: np.ndarray, noise: NoiseSpec, clean: np.ndarray | None = None) -> None:
+    """Write sigma_i * substream(noise.seed, i).standard_normal() into row i
+    of the (m, P) ``out``, plus ``clean[i]`` when given; an image with sigma 0
+    draws nothing.  Each image is one task of _for_each; the streams are
+    independent, so the bytes do not depend on the thread count."""
+    def fill(i: int) -> None:
+        sigma = noise.sigmas[i]
+        if sigma == 0.0:
+            out[i] = 0.0 if clean is None else clean[i]
+            return
+        substream(noise.seed, i).standard_normal(out=out[i])
+        out[i] *= sigma
+        if clean is not None:
+            out[i] += clean[i]
+
+    _for_each(fill, len(out), out.shape[-1])
+
+
 def add_noise(stack: IntensityStack, noise: NoiseSpec) -> IntensityStack:
     """Add independent N(0, sigma_i^2) noise to every pixel of image i.
 
     Deterministic given the seed: image i is, bit for bit,
     ``clean_i + substream(seed, i).normal(0.0, sigma_i, shape)``, written once
-    into a new stack.  Images of at least PARALLEL_MIN_PIXELS pixels are filled
-    concurrently, on at most one thread per CPU this process may use and per
-    image; the threads start and end within this call.  The streams are
-    independent, so the bytes do not depend on the thread count.  Results are
+    into a new stack by _fill_noise, whatever the thread count.  Results are
     not clamped, so negative intensities can occur near shadow.
     """
     require_sigmas(noise.sigmas, stack.m)
-    clean = stack.images
-    images = np.empty(clean.shape)
-
-    def fill(i: int) -> None:
-        sigma = noise.sigmas[i]
-        if sigma == 0.0:
-            images[i] = clean[i]
-            return
-        substream(noise.seed, i).standard_normal(out=images[i])
-        images[i] *= sigma
-        images[i] += clean[i]
-
-    _for_each(fill, stack.m, stack.height * stack.width)
+    images = np.empty(stack.images.shape)
+    _fill_noise(images.reshape(stack.m, -1), noise, stack.images.reshape(stack.m, -1))
     return IntensityStack(images=freeze(images), sigmas=noise.sigmas)

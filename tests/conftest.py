@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psdesign import IntensityStack, LightConfig, NoiseSpec, add_noise, substream
-from psdesign import cli, evaluate
+from psdesign import cli, evaluate, forward
 from psdesign.optimize import random_unit_rows
 
 
@@ -38,13 +38,18 @@ def directions(draws: np.ndarray) -> np.ndarray:
 
 @pytest.fixture
 def noise_specs(monkeypatch):
-    """Records the NoiseSpec of every add_noise call the CLI and compare_configs make."""
+    """Records the NoiseSpec of every add_noise call the CLI makes and of every
+    trial noise draw of compare_configs, in call order."""
     specs = []
 
     def recording(stack, noise):
         specs.append(noise)
         return add_noise(stack, noise)
 
+    def recording_fill(out, noise, clean=None):
+        specs.append(noise)
+        return forward._fill_noise(out, noise, clean)
+
     monkeypatch.setattr(cli, "add_noise", recording)
-    monkeypatch.setattr(evaluate, "add_noise", recording)
+    monkeypatch.setattr(evaluate, "_fill_noise", recording_fill)
     return specs

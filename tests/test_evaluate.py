@@ -1,4 +1,4 @@
-import itertools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from psdesign import (
     solve_map,
     stream_key,
 )
+from psdesign import forward
 from psdesign.evaluate import HISTOGRAM_EDGES
 from psdesign.oed import build_shape_prior
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
@@ -184,32 +185,85 @@ class TestCompareConfigs:
                          np.full(4, np.cos(slant))], axis=1)
         return {"triad": baseline_orthogonal_triad(), "ring": LightConfig(rows=ring)}
 
+    def map_path_samples(self, lights, sigma, keys):
+        """Errors pooled over one trial per key, each solved into maps from
+        ``clean + sigma * substream(key, i)`` and scored with compare_maps."""
+        nmap, amap = self.scene()
+        clean = render_stack(nmap, amap, lights)
+        pooled = []
+        for key in keys:
+            est, _ = solve_map(add_noise(clean, NoiseSpec.uniform(sigma, lights.m, seed=key)),
+                               lights)
+            pooled.append(compare_maps(est, nmap).error_map[est.mask & nmap.mask])
+        return np.concatenate(pooled)
+
+    def assert_stats_of(self, row, samples):
+        counts = np.append(np.histogram(samples, bins=HISTOGRAM_EDGES)[0],
+                           np.count_nonzero(samples >= HISTOGRAM_EDGES[-1]))
+        assert row.note == "ok"
+        assert row.stats.mean_deg == samples.mean()
+        assert row.stats.median_deg == np.median(samples)
+        assert row.stats.p90_deg == np.percentile(samples, 90.0)
+        assert row.stats.max_deg == samples.max()
+        assert row.stats.count == samples.size
+        assert np.array_equal(row.stats.histogram_counts, counts)
+
     def test_matches_the_map_path(self):
-        # the reference solves every trial into maps and scores each with
-        # compare_maps, in the order compare_configs draws its trial keys
+        # config c in trial k solves clean_c + sigma * substream(key_k, i) for
+        # i < m_c: every config of a trial shares that trial's key
         nmap, amap = self.scene()
         sigma, trials, seed = 0.02, 3, 11
         configs = self.configs()
         table = compare_configs(nmap, amap, configs, sigma=sigma, trials=trials, seed=seed)
-        k = itertools.count()
+        keys = [stream_key(seed, Stage.COMPARE, k) for k in range(trials)]
         for row, lights in zip(table, configs.values()):
-            clean = render_stack(nmap, amap, lights)
-            pooled = []
-            for _ in range(trials):
-                key = stream_key(seed, Stage.COMPARE, next(k))
-                est, _ = solve_map(add_noise(clean, NoiseSpec.uniform(sigma, lights.m, seed=key)),
-                                   lights)
-                pooled.append(compare_maps(est, nmap).error_map[est.mask & nmap.mask])
-            samples = np.concatenate(pooled)
-            counts = np.append(np.histogram(samples, bins=HISTOGRAM_EDGES)[0],
-                               np.count_nonzero(samples >= HISTOGRAM_EDGES[-1]))
-            assert row.note == "ok"
-            assert row.stats.mean_deg == samples.mean()
-            assert row.stats.median_deg == np.median(samples)
-            assert row.stats.p90_deg == np.percentile(samples, 90.0)
-            assert row.stats.max_deg == samples.max()
-            assert row.stats.count == samples.size
-            assert np.array_equal(row.stats.histogram_counts, counts)
+            self.assert_stats_of(row, self.map_path_samples(lights, sigma, keys))
+
+    def test_first_config_keeps_its_draws(self):
+        # before trials shared their noise, the k-th (config, trial) pair, over
+        # all configs in order, drew from key k: the first config's trials drew
+        # from keys 0 .. trials - 1, as every config's trials do now
+        nmap, amap = self.scene()
+        sigma, trials, seed = 0.02, 3, 6
+        triad = baseline_orthogonal_triad()
+        samples = self.map_path_samples(
+            triad, sigma, [stream_key(seed, Stage.COMPARE, k) for k in range(trials)])
+        [alone] = compare_configs(nmap, amap, {"triad": triad}, sigma=sigma, trials=trials,
+                                  seed=seed)
+        first, _ = compare_configs(nmap, amap, {"triad": triad, "ring": self.configs()["ring"]},
+                                   sigma=sigma, trials=trials, seed=seed)
+        for row in (alone, first):
+            self.assert_stats_of(row, samples)
+
+    def test_rig_listed_twice_gives_identical_rows(self):
+        nmap, amap = self.scene()
+        ring = self.configs()["ring"]
+        table = compare_configs(nmap, amap, {"a": ring, "triad": baseline_orthogonal_triad(),
+                                             "b": ring}, sigma=0.02, trials=3, seed=2)
+        assert [row.name for row in table] == ["a", "triad", "b"]
+        assert_same_rows([table[0]], [table[2]])
+
+    def test_rows_do_not_depend_on_the_thread_count(self, monkeypatch):
+        # 256 x 256 images reach PARALLEL_MIN_PIXELS, so the noise fill runs on
+        # threads when more than one CPU is reported
+        nmap, amap = generate(SceneSpec(kind="sphere", width=256, height=256,
+                                        albedo=AlbedoSpec(value=0.9)))
+        assert nmap.mask.size >= forward.PARALLEL_MIN_PIXELS
+        pools = []
+
+        def counting(*args, **kwargs):
+            pools.append(kwargs)
+            return ThreadPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(forward, "ThreadPoolExecutor", counting)
+        tables = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(forward, "_cpu_count", lambda cpus=cpus: cpus)
+            tables.append(compare_configs(nmap, amap, self.configs(), sigma=0.02, trials=2,
+                                          seed=12))
+            assert len(pools) == (0 if cpus == 1 else 2 + 2)  # 2 renders, 2 trial draws
+        assert [row.note for row in tables[0]] == ["ok", "ok"]
+        assert_same_rows(*tables)
 
     def test_builds_no_per_trial_maps(self, monkeypatch):
         nmap, amap = self.scene()
@@ -245,10 +299,23 @@ class TestCompareConfigs:
         table = compare_configs(nmap, amap, configs, sigma=0.01, trials=2, seed=3)
         assert [row.name for row in table] == ["triad", "many"]
         assert table[1].note == "ok" and table[1].stats.count > 0
-        assert [spec.sigmas.size for spec in noise_specs] == [3, 3, 65, 65]
+        # one draw of 65 images per trial, which the triad shares the first 3 of
+        assert [(spec.seed, spec.sigmas.size) for spec in noise_specs] == [
+            (stream_key(3, Stage.COMPARE, k), 65) for k in range(2)]
         pooled = np.concatenate([noise_draws(spec.seed, spec.sigmas.size, 16).ravel()
                                  for spec in noise_specs])
         assert np.unique(pooled).size == pooled.size  # no image of any trial repeats a draw
+
+
+def assert_same_rows(a, b):
+    """Two comparison tables hold the same bytes, names aside."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.note, x.phi) == (y.note, y.phi)
+        assert np.array_equal(x.lights.rows, y.lights.rows)
+        fields = ("mean_deg", "median_deg", "p90_deg", "max_deg", "count")
+        assert [getattr(x.stats, f) for f in fields] == [getattr(y.stats, f) for f in fields]
+        assert np.array_equal(x.stats.histogram_counts, y.stats.histogram_counts)
 
 
 def test_pooled_mse_matches_covariance_trace():

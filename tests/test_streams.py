@@ -100,12 +100,15 @@ class TestNoCollisions:
 
     def test_pipeline_stages_draw_distinct_noise(self, tmp_path, noise_specs):
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, scene={"kind": "paraboloid", "width": 16, "height": 16,
-                                      "params": {"curvature": 0.3}},
-                     noise={"sigma": 0.02}, trials=2)
+        cfg = write_config(cfg_path, scene={"kind": "paraboloid", "width": 16, "height": 16,
+                                            "params": {"curvature": 0.3}},
+                           noise={"sigma": 0.02}, trials=2)
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == 0
-        # the initial render, the re-render, then 2 trials for each of 4 configs
-        assert len(noise_specs) == 2 + 4 * 2
+        # the initial render, the re-render, then one draw per comparison trial,
+        # which all 4 configs share
+        assert len(noise_specs) == 2 + 2
+        assert [(spec.seed, spec.sigmas.size) for spec in noise_specs[2:]] == [
+            (stream_key(cfg["seed"], Stage.COMPARE, k), 3) for k in range(2)]
         initial, rerender = (noise_draws(spec.seed, 3, 32) for spec in noise_specs[:2])
         for i in range(2):
             assert np.intersect1d(rerender[i], initial[i + 1]).size == 0
