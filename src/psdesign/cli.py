@@ -21,7 +21,6 @@ import numpy as np
 
 from . import pfm
 from .core import (
-    AlphaOutOfRangeError,
     DegenerateVectorError,
     DimensionMismatchError,
     EmptyMaskError,
@@ -49,7 +48,14 @@ from .optimize import (
     optimize_lights,
     random_hemisphere_rows,
 )
-from .scenes import AlbedoSpec, SceneSpec, export_normal_map, generate, ingest_normal_map
+from .scenes import (
+    SCENE_KINDS,
+    AlbedoSpec,
+    SceneSpec,
+    export_normal_map,
+    generate,
+    ingest_normal_map,
+)
 from .solver import solve_map
 
 EXIT_OK = 0
@@ -80,64 +86,147 @@ class RunConfig:
         return require_sigmas(np.full(m, float(self.sigma or 0.0)))
 
 
-def _parse_albedo(raw: dict | None) -> AlbedoSpec:
-    if raw is None:
-        return AlbedoSpec()
-    kind = raw.get("kind", "constant")
-    if kind == "constant":
-        return AlbedoSpec(kind="constant", value=float(raw.get("value", 1.0)))
-    if kind == "checkerboard":
-        return AlbedoSpec(
-            kind="checkerboard",
-            value=float(raw.get("value", 0.6)),
-            value2=float(raw.get("value2", 0.95)),
-            cell=int(raw.get("cell", 8)),
-        )
-    raise ConfigError(f"unknown albedo kind {kind!r}")
+# Sub-schemas shared by the run config, the render sidecar and the pipeline report
+_NUMBER = {"type": "number"}
+_INTEGER = {"type": "integer"}
+_ALPHA = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+_TRIALS = {"type": "integer", "minimum": 1}
+_SIGMAS = {"type": "array", "items": _NUMBER}
+_LIGHT_ROWS = {"type": "array", "minItems": 3,
+               "items": {"type": "array", "minItems": 3, "maxItems": 3, "items": _NUMBER}}
 
 
-def _parse_scene(raw: dict) -> SceneSpec:
-    try:
-        return SceneSpec(
-            kind=raw["kind"],
-            width=int(raw["width"]),
-            height=int(raw["height"]),
-            params=raw.get("params", {}),
-            albedo=_parse_albedo(raw.get("albedo")),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"scene config is missing {exc}") from exc
+def _object(required=(), **properties) -> dict:
+    """An object with no keys but ``properties``, and with every key in ``required``."""
+    return {"type": "object", "additionalProperties": False, "properties": properties,
+            "required": list(required)}
 
 
-def load_run_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
+def _record(**properties) -> dict:
+    """An object with exactly the keys ``properties``."""
+    return _object(properties, **properties)
+
+
+def _when(key: str, value: str, then: dict) -> dict:
+    """``then`` holds where ``key`` is ``value``; unlike oneOf, a failure names the key."""
+    return {"if": {"required": [key], "properties": {key: {"const": value}}}, "then": then}
+
+
+_SCENE_PARAMS = {"sphere": {"radius": _NUMBER}, "paraboloid": {"curvature": _NUMBER},
+                 "plane": {"p": _NUMBER, "q": _NUMBER}, "from_file": {"path": {"type": "string"}}}
+_SCENE = {
+    **_object(
+        ["kind", "width", "height"], kind={"enum": list(SCENE_KINDS)},
+        width={"type": "integer", "minimum": 1}, height={"type": "integer", "minimum": 1},
+        params={"type": "object"},
+        # a constant albedo, the default kind, reads only its value
+        albedo={**_object(kind={"enum": ["constant", "checkerboard"]}, value=_NUMBER,
+                          value2=_NUMBER, cell=_INTEGER),
+                "if": {"properties": {"kind": {"const": "constant"}}},
+                "then": _object(kind={}, value={})}),
+    "allOf": [_when("kind", kind, {"properties": {"params": _object(**params)}})
+              for kind, params in _SCENE_PARAMS.items()],
+}
+_BASELINE_KEYS = {"orthogonal-triad": ["baseline"], "heuristic-spread": ["baseline", "m"],
+                  "random": ["baseline", "m", "seed"]}
+
+CONFIG_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "run config",
+    **_object(
+        ["scene"], seed=_INTEGER, alpha=_ALPHA, outputs={"type": "string"}, scene=_SCENE,
+        # explicit rows, or one baseline with only the keys it reads
+        lights={**_object(rows=_LIGHT_ROWS, baseline={"enum": list(_BASELINE_KEYS)},
+                          m=_INTEGER, seed=_INTEGER),
+                "if": {"required": ["rows"]}, "then": _object(rows={}),
+                "else": {"required": ["baseline"], "allOf": [
+                    _when("baseline", name, _object(**dict.fromkeys(keys, {})))
+                    for name, keys in _BASELINE_KEYS.items()]}},
+        noise={**_object(sigma=_NUMBER, sigmas=_SIGMAS),
+               "if": {"required": ["sigmas"]}, "then": _object(sigmas={})},
+        optimizer=_object(max_iters=_INTEGER, restarts=_INTEGER, seed=_INTEGER),
+        trials=_TRIALS),
+}
+
+# what solve reads from render.json; its other keys record provenance
+SIDECAR_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "render sidecar",
+    "type": "object",
+    "required": ["lights", "sigmas", "images"],
+    "properties": {"lights": _LIGHT_ROWS, "sigmas": _SIGMAS,
+                   "images": {"type": "array", "items": {"type": "string"}}},
+}
+
+_NUMBER_OR_NULL = {"type": ["number", "null"]}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
+REPORT_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "pipeline report",
+    **_record(
+        seed=_INTEGER, alpha=_ALPHA, sigma=_NON_NEGATIVE, trials=_TRIALS, scene=_SCENE,
+        initial_lights=_LIGHT_ROWS, optimized_lights=_LIGHT_ROWS,
+        optimization=_record(
+            phi_initial=_NUMBER, phi_final=_NUMBER,
+            phi_trajectory={"type": "array", "items": _NUMBER},
+            iterations_used={"type": "integer", "minimum": 0}, converged={"type": "boolean"},
+            gradient_norm_final=_NUMBER, phi_lower_bound=_NON_NEGATIVE,
+            optimality_gap=_NON_NEGATIVE),
+        comparison={"type": "array", "minItems": 1, "items": _record(
+            name={"type": "string"}, phi=_NUMBER_OR_NULL, note={"type": "string"},
+            mean_deg=_NUMBER_OR_NULL, median_deg=_NUMBER_OR_NULL, p90_deg=_NUMBER_OR_NULL,
+            max_deg=_NUMBER_OR_NULL, sample_count={"type": ["integer", "null"]})},
+        outputs={"type": "object", "additionalProperties": {"type": "string"}}),
+}
+
+_CONFIG_VALIDATOR = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+_SIDECAR_VALIDATOR = jsonschema.Draft7Validator(SIDECAR_SCHEMA)
+_REPORT_VALIDATOR = jsonschema.Draft7Validator(REPORT_SCHEMA)
+
+
+def validate_report(report: dict) -> None:
+    _REPORT_VALIDATOR.validate(report)
+
+
+def _load_json(path, validator: jsonschema.Draft7Validator) -> dict:
+    """Read a JSON file; bad JSON or a schema violation is a ConfigError naming the JSON path."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if "scene" not in raw:
-        raise ConfigError(f"{path}: missing 'scene' section")
-    opt_raw = raw.get("optimizer", {})
-    unknown = sorted(set(opt_raw) - {"max_iters", "restarts", "seed"})
-    if unknown:
-        raise ConfigError(f"{path}: unknown optimizer settings {unknown}")
-    try:
-        optimizer = OptimizerConfig(
-            max_iters=int(opt_raw.get("max_iters", 1000)),
-            restarts=int(opt_raw.get("restarts", 1)),
-            seed=int(opt_raw.get("seed", raw.get("seed", 0))),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad optimizer settings ({exc})") from exc
-    noise_raw = raw.get("noise", {})
+    error = jsonschema.exceptions.best_match(validator.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"{path}: {error.json_path}: {error.message}")
+    return raw
+
+
+def _typed(section: dict, **casts) -> dict:
+    """``section`` with the named fields cast; draft-07 counts 16.0 as an integer."""
+    return {k: casts[k](v) if k in casts else v for k, v in section.items()}
+
+
+def load_run_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
+    raw = _load_json(path, _CONFIG_VALIDATOR)
+    scene = raw["scene"]
+    albedo = scene.get("albedo", {})
+    if albedo.get("kind") == "checkerboard":  # AlbedoSpec's defaults are a constant's
+        albedo = {"value": 0.6, "value2": 0.95, **albedo}
+    seed = int(raw.get("seed", 0))
+    optimizer = OptimizerConfig(**_typed({"seed": seed, **raw.get("optimizer", {})},
+                                         max_iters=int, restarts=int, seed=int))
+    noise = raw.get("noise", {})
     cfg = RunConfig(
-        scene=_parse_scene(raw["scene"]),
+        scene=SceneSpec(**{
+            **_typed(scene, width=int, height=int),
+            "albedo": AlbedoSpec(**_typed(albedo, value=float, value2=float, cell=int)),
+        }),
         lights=raw.get("lights", {"baseline": "orthogonal-triad"}),
-        sigma=noise_raw.get("sigma"),
-        sigmas=noise_raw.get("sigmas"),
-        seed=int(raw.get("seed", 0)),
+        sigma=noise.get("sigma"),
+        sigmas=noise.get("sigmas"),
+        seed=seed,
         alpha=float(raw.get("alpha", 0.05)),
-        outputs=str(raw.get("outputs", "out")),
+        outputs=raw.get("outputs", "out"),
         optimizer=optimizer,
         trials=int(raw.get("trials", 20)),
     )
@@ -150,28 +239,23 @@ def load_run_config(path, overrides: argparse.Namespace | None = None) -> RunCon
         updates["sigmas"] = None
     if getattr(overrides, "out", None) is not None:
         updates["outputs"] = str(overrides.out)
-    cfg = replace(cfg, **updates)
-    if not 0.0 < cfg.alpha < 1.0:
-        raise AlphaOutOfRangeError(f"alpha must be in (0, 1), got {cfg.alpha}")
-    return cfg
+    return replace(cfg, **updates)
 
 
 def resolve_lights(spec: dict, seed: int) -> LightConfig:
-    """Turn a config 'lights' section into a LightConfig."""
+    """Turn a 'lights' section, valid under CONFIG_SCHEMA, into a LightConfig."""
     if "rows" in spec:
         return LightConfig(rows=np.asarray(spec["rows"], dtype=float))
-    name = spec.get("baseline")
+    name = spec["baseline"]
     m = int(spec.get("m", 3))
     if name == "orthogonal-triad":
         return baseline_orthogonal_triad()
     if name == "heuristic-spread":
         return baseline_heuristic_spread(m)
-    if name == "random":
-        # imaging rigs come from the camera-facing hemisphere; a light with
-        # z <= 0 cannot illuminate any visible pixel
-        rng = substream(stream_key(int(spec.get("seed", seed)), Stage.RIG, 0), 0)
-        return LightConfig(rows=random_hemisphere_rows(m, rng))
-    raise ConfigError(f"cannot resolve lights from {spec!r}")
+    # random: imaging rigs come from the camera-facing hemisphere; a light
+    # with z <= 0 cannot illuminate any visible pixel
+    rng = substream(stream_key(int(spec.get("seed", seed)), Stage.RIG, 0), 0)
+    return LightConfig(rows=random_hemisphere_rows(m, rng))
 
 
 def _json_float(x: float) -> float | None:
@@ -238,90 +322,6 @@ def _write_histogram_csv(path, stats: AngularErrorStats) -> None:
         writer.writerow([f"{edges[-1]:.6g}", "180", int(stats.histogram_counts[-1])])
 
 
-_LIGHT_ROWS_SCHEMA = {
-    "type": "array",
-    "minItems": 3,
-    "items": {
-        "type": "array",
-        "minItems": 3,
-        "maxItems": 3,
-        "items": {"type": "number"},
-    },
-}
-
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "pipeline report",
-    "type": "object",
-    "additionalProperties": False,
-    "required": [
-        "seed", "alpha", "sigma", "trials", "scene", "initial_lights",
-        "optimized_lights", "optimization", "comparison", "outputs",
-    ],
-    "properties": {
-        "seed": {"type": "integer"},
-        "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "sigma": {"type": "number", "minimum": 0},
-        "trials": {"type": "integer", "minimum": 1},
-        "scene": {
-            "type": "object",
-            "required": ["kind", "width", "height"],
-            "properties": {
-                "kind": {"enum": ["sphere", "paraboloid", "plane", "from_file"]},
-                "width": {"type": "integer", "minimum": 1},
-                "height": {"type": "integer", "minimum": 1},
-                "params": {"type": "object"},
-                "albedo": {"type": "object"},
-            },
-        },
-        "initial_lights": _LIGHT_ROWS_SCHEMA,
-        "optimized_lights": _LIGHT_ROWS_SCHEMA,
-        "optimization": {
-            "type": "object",
-            "required": [
-                "phi_initial", "phi_final", "phi_trajectory",
-                "iterations_used", "converged", "gradient_norm_final",
-                "phi_lower_bound", "optimality_gap",
-            ],
-            "properties": {
-                "phi_initial": {"type": "number"},
-                "phi_final": {"type": "number"},
-                "phi_trajectory": {"type": "array", "items": {"type": "number"}},
-                "iterations_used": {"type": "integer", "minimum": 0},
-                "converged": {"type": "boolean"},
-                "gradient_norm_final": {"type": "number"},
-                "phi_lower_bound": {"type": "number", "minimum": 0},
-                "optimality_gap": {"type": "number", "minimum": 0},
-            },
-        },
-        "comparison": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["name", "phi", "note", "mean_deg", "median_deg",
-                             "p90_deg", "max_deg", "sample_count"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "phi": {"type": ["number", "null"]},
-                    "note": {"type": "string"},
-                    "mean_deg": {"type": ["number", "null"]},
-                    "median_deg": {"type": ["number", "null"]},
-                    "p90_deg": {"type": ["number", "null"]},
-                    "max_deg": {"type": ["number", "null"]},
-                    "sample_count": {"type": ["integer", "null"]},
-                },
-            },
-        },
-        "outputs": {"type": "object", "additionalProperties": {"type": "string"}},
-    },
-}
-
-
-def validate_report(report: dict) -> None:
-    jsonschema.validate(instance=report, schema=REPORT_SCHEMA)
-
-
 def _observe(cfg: RunConfig, nmap, amap, lights: LightConfig, stage: Stage) -> IntensityStack:
     """Render under ``lights`` and add the run's noise, keyed by ``stage``."""
     stack = render_stack(nmap, amap, lights)
@@ -358,15 +358,9 @@ def cmd_render(cfg: RunConfig) -> int:
 
 
 def _load_sidecar(path) -> tuple[LightConfig, np.ndarray, list[str]]:
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    try:
-        lights = LightConfig(rows=np.asarray(raw["lights"], dtype=float))
-        sigmas = np.asarray(raw["sigmas"], dtype=float)
-        images = list(raw["images"])
-    except KeyError as exc:
-        raise ConfigError(f"{path}: sidecar is missing {exc}") from exc
-    return lights, sigmas, images
+    raw = _load_json(path, _SIDECAR_VALIDATOR)
+    lights = LightConfig(rows=np.asarray(raw["lights"], dtype=float))
+    return lights, np.asarray(raw["sigmas"], dtype=float), raw["images"]
 
 
 def cmd_solve(sidecar_path, out_dir, image_paths=None) -> int:
@@ -583,8 +577,8 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(args.est, args.gt, args.out)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, InvalidSpecError, DimensionMismatchError, AlphaOutOfRangeError,
-            NonUnitRowsError, EmptyMaskError, ValueError) as exc:
+    except (ConfigError, InvalidSpecError, DimensionMismatchError, NonUnitRowsError,
+            EmptyMaskError, ValueError) as exc:
         print(f"psdesign: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SingularLightMatrixError, RankCollapseError, DegenerateVectorError,

@@ -52,7 +52,7 @@ class EmptyMaskError(PhotometryError):
 
 
 class NonUnitRowsError(PhotometryError):
-    """An operation requires unit-norm light rows but got a free-norm config."""
+    """A light configuration has a row whose norm is not 1."""
 
 
 class RankCollapseError(PhotometryError):
@@ -130,15 +130,12 @@ def rank_ratio(matrix: np.ndarray) -> float:
 class LightConfig:
     """Stacked light-direction row vectors, the design variable.
 
-    ``rows`` is an (m, 3) matrix with m >= 3 and full column rank.  In the
-    default unit-norm mode every row must have norm 1: the design objective is
-    unbounded below under row scaling, so unit rows model pure direction
-    choice at fixed source power.  A free-norm mode exists for experimentation
-    but the optimizer refuses it.
+    ``rows`` is an (m, 3) matrix with m >= 3, full column rank and rows of
+    norm 1: the design objective is unbounded below under row scaling, so
+    unit rows model pure direction choice at fixed source power.
     """
 
     rows: np.ndarray
-    unit_norm: bool = True
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -152,13 +149,8 @@ class LightConfig:
             raise SingularLightMatrixError(
                 "light matrix is rank deficient; pick three non-coplanar directions"
             )
-        if self.unit_norm:
-            sq = np.einsum("ij,ij->i", rows, rows)
-            if np.any(np.abs(sq - 1.0) > UNIT_TOL):
-                raise NonUnitRowsError(
-                    "unit-norm mode requires every row to have norm 1 "
-                    "(use unit_norm=False for a free-norm config)"
-                )
+        if np.any(np.abs(np.einsum("ij,ij->i", rows, rows) - 1.0) > UNIT_TOL):
+            raise NonUnitRowsError("every light row must have norm 1")
         object.__setattr__(self, "rows", _readonly(rows))
 
     @property

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaincinv
 
 from .core import (
     AlphaOutOfRangeError,
@@ -94,10 +94,11 @@ def covariance(lights: LightConfig, sigmas) -> EstimateCovariance:
 
 
 def chi_square_quantile(prob: float, dof: int = 3) -> float:
-    """Quantile of the chi-square distribution (inverse regularized gamma)."""
+    """Chi-square quantile by the inverse regularized gamma, as scipy.stats.chi2.ppf
+    computes it; scipy.stats itself takes longer to import than all of psdesign."""
     if not 0.0 < prob < 1.0:
         raise AlphaOutOfRangeError(f"probability must be in (0, 1), got {prob}")
-    return float(stats.chi2.ppf(prob, df=dof))
+    return float(2.0 * gammaincinv(dof / 2.0, prob))
 
 
 def confidence_region(

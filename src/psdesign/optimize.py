@@ -25,7 +25,6 @@ import numpy as np
 from .core import (
     DimensionMismatchError,
     LightConfig,
-    NonUnitRowsError,
     RANK_RTOL,
     RankCollapseError,
     freeze,
@@ -189,8 +188,6 @@ def optimize_lights(
     restarts are not run, since none could improve on it by more than
     phi* * OPTIMALITY_RTOL.
     """
-    if not initial.unit_norm:
-        raise NonUnitRowsError("the optimizer requires a unit-norm light configuration")
     bound = phi_lower_bound(prior.m_agg, initial.m)
     phi_certified = bound * (1.0 + OPTIMALITY_RTOL)
     starts = stream_key(cfg.seed, Stage.RESTART, 0)

@@ -1,10 +1,14 @@
 import filecmp
+import functools
 import json
 import os
+import pathlib
 
+import jsonschema
 import numpy as np
 import pytest
 
+from psdesign import cli
 from psdesign.cli import main, validate_report
 from psdesign.pfm import read_pfm
 
@@ -265,3 +269,112 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["render", "--bogus"])
     assert exc.value.code == 1
+
+
+def _set(*path, value):
+    """A config edit that sets the value at ``path``."""
+    def edit(cfg):
+        functools.reduce(dict.__getitem__, path[:-1], cfg)[path[-1]] = value
+        return cfg
+    return edit
+
+
+def _rename(*path, to):
+    """A config edit that moves the value at ``path`` to the sibling key ``to``."""
+    def edit(cfg):
+        parent = functools.reduce(dict.__getitem__, path[:-1], cfg)
+        parent[to] = parent.pop(path[-1])
+        return cfg
+    return edit
+
+
+ROWS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+# (config edit, JSON path of the error, text naming the offending key or value)
+MALFORMED = {
+    "top-level list": (lambda cfg: [cfg], "$", "is not of type 'object'"),
+    "scene string": (_set("scene", value="sphere"), "$.scene", "'sphere'"),
+    "noise number": (_set("noise", value=0.02), "$.noise", "0.02"),
+    "lights string": (_set("lights", value="random"), "$.lights", "'random'"),
+    "albedo string": (_set("scene", "albedo", value="constant"), "$.scene.albedo", "'constant'"),
+    "params list": (_set("scene", "params", value=[0.9]), "$.scene.params", "[0.9]"),
+    "trials null": (_set("trials", value=None), "$.trials", "None"),
+    "fractional width": (_set("scene", "width", value=12.7), "$.scene.width", "12.7"),
+    "fractional m": (_set("lights", value={"baseline": "random", "m": 6.9}), "$.lights.m", "6.9"),
+    "triad with m": (_set("lights", value={"baseline": "orthogonal-triad", "m": 8}),
+                     "$.lights", "'m' was unexpected"),
+    "rows and baseline": (_set("lights", value={"rows": ROWS, "baseline": "random"}),
+                          "$.lights", "'baseline' was unexpected"),
+    "sigma and sigmas": (_set("noise", value={"sigma": 0.02, "sigmas": [0.1] * 3}),
+                         "$.noise", "'sigma' was unexpected"),
+    "scene.prams": (_rename("scene", "params", to="prams"), "$.scene", "'prams' was unexpected"),
+    "lights.n": (_set("lights", value={"baseline": "random", "n": 8}),
+                 "$.lights", "'n' was unexpected"),
+    "noise.sigm": (_set("noise", value={"sigm": 0.02}), "$.noise", "'sigm' was unexpected"),
+    "trails": (_rename("trials", to="trails"), "$", "'trails' was unexpected"),
+    "zero trials": (_set("trials", value=0), "$.trials", "0 is less than the minimum"),
+    "alpha of one": (_set("alpha", value=1.0), "$.alpha", "1.0"),
+    "sphere curvature": (_set("scene", "params", value={"curvature": 0.5}),
+                         "$.scene.params", "'curvature' was unexpected"),
+    "unknown albedo kind": (_set("scene", "albedo", value={"kind": "stripes"}),
+                            "$.scene.albedo.kind", "'stripes'"),
+}
+
+
+@pytest.mark.parametrize("command", ["render", "pipeline"])
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, command, case):
+    edit, path, offending = MALFORMED[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg = write_config(cfg_path, scene={"kind": "sphere", "width": 12, "height": 10,
+                                        "params": {"radius": 0.9}})
+    cfg_path.write_text(json.dumps(edit(cfg)))
+
+    def no_work(spec):
+        raise AssertionError("the config was not rejected before the scene was generated")
+
+    monkeypatch.setattr(cli, "generate", no_work)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{path}: " in err and offending in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["render", "pipeline"])
+def test_integral_floats_run_as_integers(tmp_path, command):
+    outs = []
+    for width, m in [(16, 6), (16.0, 6.0)]:
+        cfg_path = tmp_path / f"cfg-{width!r}.json"
+        write_config(cfg_path, scene={"kind": "sphere", "width": width, "height": 12,
+                                      "albedo": {"kind": "checkerboard", "cell": 4.0}},
+                     lights={"baseline": "random", "m": m}, noise={"sigma": 0.01},
+                     optimizer={"max_iters": 50.0}, trials=2.0)
+        outs.append(tmp_path / f"out-{width!r}")
+        assert main([command, "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
+@pytest.mark.parametrize("sidecar", [[], {"lights": ROWS, "sigmas": [0.0] * 3, "images": 5}])
+def test_malformed_sidecar_is_config_error(tmp_path, capsys, sidecar):
+    path = tmp_path / "render.json"
+    path.write_text(json.dumps(sidecar))
+    assert main(["solve", "--sidecar", str(path), "--out", str(tmp_path / "s")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_schemas_are_valid_draft_07():
+    for schema in (cli.CONFIG_SCHEMA, cli.SIDECAR_SCHEMA, cli.REPORT_SCHEMA):
+        jsonschema.Draft7Validator.check_schema(schema)
+
+
+def test_readme_config_example_is_valid():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Run config", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    jsonschema.Draft7Validator(cli.CONFIG_SCHEMA).validate(json.loads(example))

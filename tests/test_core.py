@@ -85,10 +85,6 @@ class TestLightConfig:
         with pytest.raises(NonUnitRowsError):
             LightConfig(rows=2.0 * np.eye(3))
 
-    def test_free_norm_mode(self):
-        cfg = LightConfig(rows=2.0 * np.eye(3), unit_norm=False)
-        assert cfg.m == 3
-
     def test_immutable(self):
         cfg = LightConfig(rows=np.eye(3))
         with pytest.raises(ValueError):

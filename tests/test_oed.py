@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+import psdesign
 from psdesign import (
     AlphaOutOfRangeError,
     DimensionMismatchError,
@@ -24,6 +29,7 @@ from psdesign import (
     substream,
 )
 from psdesign.core import DegenerateVectorError, EmptyMaskError
+from psdesign.oed import phi_of_rows
 from psdesign.optimize import baseline_orthogonal_triad, random_unit_rows
 from psdesign.solver import PixelEstimate
 
@@ -99,6 +105,21 @@ class TestConfidenceRegion:
             assert chi_square_quantile(prob) == pytest.approx(
                 quantile_by_bisection(prob), abs=1e-9
             )
+
+    def test_quantile_matches_scipy_stats_bit_for_bit(self):
+        from scipy.stats import chi2
+
+        for dof in (1, 2, 3, 4, 7):
+            for prob in np.linspace(1e-6, 1.0 - 1e-6, 201):
+                assert chi_square_quantile(float(prob), dof) == chi2.ppf(prob, df=dof)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(psdesign.__file__)))
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, psdesign, psdesign.cli; sys.exit('scipy.stats' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
 
     def test_alpha_near_one_shrinks_to_point(self):
         est = PixelEstimate(n_tilde=np.array([0.0, 0.0, 0.8]), albedo=0.8,
@@ -204,8 +225,8 @@ class TestPhi:
         assert phi_shape_agnostic(identity_triad()) == pytest.approx(3.0, abs=1e-15)
 
     def test_free_norm_scaling(self):
-        doubled = LightConfig(rows=2.0 * np.eye(3), unit_norm=False)
-        assert phi_shape_agnostic(doubled) == pytest.approx(0.75, abs=1e-15)
+        # doubled rows quarter the objective, which is why rigs must have unit rows
+        assert phi_of_rows(2.0 * np.eye(3), np.eye(3)) == 0.75
 
     def test_unit_row_triads_never_beat_three(self):
         # random-search oracle for the analytic floor of trace of inverse Gram

@@ -5,7 +5,6 @@ from psdesign import (
     DimensionMismatchError,
     LightConfig,
     NoiseSpec,
-    NonUnitRowsError,
     OptimizerConfig,
     ShapePrior,
     SingularLightMatrixError,
@@ -113,11 +112,6 @@ class TestOptimizeLights:
             report = optimize_lights(start, ShapePrior.identity(),
                                      OptimizerConfig(max_iters=2000))
             assert report.phi_trajectory[-1] == pytest.approx(3.0, abs=1e-6)
-
-    def test_refuses_free_norm(self):
-        cfg = LightConfig(rows=2.0 * np.eye(3), unit_norm=False)
-        with pytest.raises(NonUnitRowsError):
-            optimize_lights(cfg, ShapePrior.identity(), OptimizerConfig())
 
     def test_restart_determinism(self):
         start = LightConfig(rows=random_unit_rows(3, substream(5, 0)))
