@@ -3,7 +3,7 @@
 Configs and reports are JSON; histograms and tables are CSV with a header
 row; images are PFM.  Every command is deterministic given its config file
 (seeds included).  Exit codes: 0 success, 1 usage/config error, 2 numerical
-failure, 3 I/O error.
+failure or no valid pixels, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -578,9 +578,12 @@ def main(argv=None) -> int:
             return cmd_evaluate(args.est, args.gt, args.out)
         parser.error(f"unknown command {args.command!r}")
     except (ConfigError, InvalidSpecError, DimensionMismatchError, NonUnitRowsError,
-            EmptyMaskError, ValueError) as exc:
+            ValueError) as exc:
         print(f"psdesign: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except EmptyMaskError as exc:  # a valid config whose data leaves nothing to work on
+        print(f"psdesign: no valid pixels: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (SingularLightMatrixError, RankCollapseError, DegenerateVectorError,
             NonPositiveSigmaError, np.linalg.LinAlgError) as exc:
         print(f"psdesign: numerical failure: {exc}", file=sys.stderr)

@@ -8,6 +8,15 @@ read-only memory, of the right dtype.  The library seals the fresh buffers it
 builds (``freeze``) and every array these types hold; any other array is
 copied.  Adoption skips only the copy: NormalMap validates on every
 construction.
+
+A NormalMap's normals live component-major, in one (3, H, W) buffer; its
+(H, W, 3) ``normals`` is a view of that buffer, so ``normals.reshape(-1, 3).T``
+is a C-contiguous (3, P) array of x, y and z rows.  A sealed view of that
+layout is adopted, which is how the scenes, the ingest and the solver hand
+over the buffers they build; any other input is copied into it.
+
+The per-pixel layers walk a frame in ``pixel_blocks``: the temporaries of one
+block stay in the L2 cache instead of each being a fresh whole-frame array.
 """
 
 from __future__ import annotations
@@ -20,6 +29,9 @@ import numpy as np
 UNIT_TOL = 1e-12
 MAP_UNIT_TOL = 1e-9
 RANK_RTOL = 1e-9
+
+# Pixels per block of the per-pixel layers: a (3, B) float block is 768 KiB.
+BLOCK_PIXELS = 1 << 15
 
 
 class PhotometryError(Exception):
@@ -76,12 +88,21 @@ def freeze(a: np.ndarray) -> np.ndarray:
     return a.view()
 
 
+def _sealed(a: np.ndarray, dtype=float) -> bool:
+    """Whether ``a`` is a read-only view of read-only memory, of ``dtype``."""
+    return (a.dtype == dtype and not a.flags.writeable
+            and isinstance(a.base, np.ndarray) and not a.base.flags.writeable)
+
+
 def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
     """``a`` itself when it is sealed and of ``dtype``, else a sealed copy."""
-    if (a.dtype == dtype and not a.flags.writeable
-            and isinstance(a.base, np.ndarray) and not a.base.flags.writeable):
-        return a
-    return freeze(np.array(a, dtype=dtype, copy=True))
+    return a if _sealed(a, dtype) else freeze(np.array(a, dtype=dtype, copy=True))
+
+
+def pixel_blocks(count: int):
+    """Consecutive slices of at most BLOCK_PIXELS that cover range(count)."""
+    step = BLOCK_PIXELS
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def require_sigmas(sigmas, count: int | None = None, positive: bool = False) -> np.ndarray:
@@ -168,7 +189,8 @@ class NormalMap:
 
     The camera looks along -Z, so every valid normal points toward the viewer
     (z component strictly positive) and has unit norm within 1e-9.  Values at
-    invalid pixels are unconstrained.
+    invalid pixels are unconstrained.  ``normals`` is an (H, W, 3) view of a
+    component-major (3, H, W) buffer (see the module docstring).
     """
 
     normals: np.ndarray  # (H, W, 3)
@@ -183,14 +205,24 @@ class NormalMap:
             raise DimensionMismatchError(
                 f"mask shape {mask.shape} does not match normals {normals.shape[:2]}"
             )
-        valid = normals[mask]
-        if valid.size:
-            sq = np.einsum("ij,ij->i", valid, valid)
-            if np.any(np.abs(sq - 1.0) > MAP_UNIT_TOL):
-                raise InvalidSpecError("valid normals must be unit within 1e-9")
-            if np.any(valid[:, 2] <= 0.0):
-                raise InvalidSpecError("valid normals must face the camera (z > 0)")
-        object.__setattr__(self, "normals", _readonly(normals))
+        if not (_sealed(normals) and normals.transpose(2, 0, 1).flags.c_contiguous):
+            planes = np.empty((3, *mask.shape))
+            np.copyto(planes, normals.transpose(2, 0, 1))
+            normals = freeze(planes).transpose(1, 2, 0)
+        rows, valid = normals.reshape(-1, 3).T, mask.reshape(-1)
+        facing = True  # a unit failure anywhere is reported first
+        # invalid pixels may hold anything: squaring a huge value there overflows harmlessly
+        with np.errstate(over="ignore"):
+            for s in pixel_blocks(valid.size):
+                block, inside = rows[:, s], valid[s]
+                sq = np.einsum("cp,cp->p", block, block)
+                sq -= 1.0
+                if np.any(inside & (np.abs(sq, out=sq) > MAP_UNIT_TOL)):
+                    raise InvalidSpecError("valid normals must be unit within 1e-9")
+                facing = facing and not np.any(inside & (block[2] <= 0.0))
+        if not facing:
+            raise InvalidSpecError("valid normals must face the camera (z > 0)")
+        object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "mask", _readonly(mask, dtype=bool))
 
     @property

@@ -19,11 +19,12 @@ from .core import (
     LightConfig,
     NormalMap,
     freeze,
+    pixel_blocks,
 )
 # add_noise and solve_map are not called here, but perfbench's traced run patches them here
 from .forward import NoiseSpec, Stage, _fill_noise, add_noise, render_stack, stream_key  # noqa: F401
 from .oed import ShapePrior, build_shape_prior, phi_shape_aware
-from .solver import _unit_columns, solve_map  # noqa: F401
+from .solver import _solve_columns, solve_map  # noqa: F401
 
 HISTOGRAM_EDGES = freeze(np.arange(0.0, 30.25, 0.5))
 
@@ -54,21 +55,27 @@ def angular_error(a, b) -> float:
     return float(_angle_deg(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
 
 
-def _angle_deg(a, b):
+def _angle_deg(a, b, out=None):
     """Angle in degrees between a and b, each given by its x, y, z components:
     atan2(|a x b|, a . b), which keeps full precision near 0 degrees, where
     arccos of the dot product bottoms out around 1e-6 deg."""
     (ax, ay, az), (bx, by, bz) = a, b
     cross_sq = (ay * bz - az * by) ** 2 + (az * bx - ax * bz) ** 2 + (ax * by - ay * bx) ** 2
-    return np.degrees(np.arctan2(np.sqrt(cross_sq), ax * bx + ay * by + az * bz))
+    return np.degrees(np.arctan2(np.sqrt(cross_sq), ax * bx + ay * by + az * bz), out=out)
 
 
-def _joint_errors(est_xyz, est_mask, gt_xyz, gt_mask):
-    """Flat indices of the pixels valid in both an estimate and the ground
-    truth, and the angular errors there.  Each comes as (3, P) unit normals
-    and a (P,) mask, in one row-major pixel order."""
-    idx = np.flatnonzero(est_mask & gt_mask)
-    return idx, _angle_deg(est_xyz.take(idx, axis=1), gt_xyz.take(idx, axis=1))
+def _joint_errors(est_xyz, gt_xyz, joint, out) -> int:
+    """Write the angular errors at the ``joint`` pixels into ``out``, block by
+    block in row-major pixel order, and return how many there are.  The
+    normals come as (3, P) unit columns and ``joint`` as a (P,) mask."""
+    count = 0
+    for s in pixel_blocks(joint.size):
+        idx = np.flatnonzero(joint[s])
+        # row by row: take along axis 1 would first copy the strided (3, B) block
+        _angle_deg([row[s].take(idx) for row in est_xyz], [row[s].take(idx) for row in gt_xyz],
+                   out=out[count:count + idx.size])
+        count += idx.size
+    return count
 
 
 def _stats_from_samples(samples: np.ndarray, error_map: np.ndarray | None) -> AngularErrorStats:
@@ -99,10 +106,13 @@ def compare_maps(est: NormalMap, gt: NormalMap) -> AngularErrorStats:
         raise DimensionMismatchError(
             f"maps differ in size: {est.height}x{est.width} vs {gt.height}x{gt.width}"
         )
-    idx, samples = _joint_errors(est.normals.reshape(-1, 3).T, est.mask.reshape(-1),
-                                 gt.normals.reshape(-1, 3).T, gt.mask.reshape(-1))
-    errors = np.full(gt.mask.size, np.nan)
-    errors[idx] = samples
+    joint = (est.mask & gt.mask).reshape(-1)
+    # room for every pixel: pages never written are never committed
+    samples = np.empty(joint.size)
+    samples = samples[:_joint_errors(est.normals.reshape(-1, 3).T, gt.normals.reshape(-1, 3).T,
+                                     joint, samples)]
+    errors = np.full(joint.size, np.nan)
+    errors[joint] = samples
     return _stats_from_samples(samples, errors.reshape(gt.mask.shape))
 
 
@@ -143,8 +153,7 @@ def compare_configs(
     if prior is None:
         prior = build_shape_prior(gt_normals)
     cleans = [render_stack(gt_normals, albedo, c).images.reshape(c.m, -1) for c in configs.values()]
-    # a contiguous copy: gathering pixels from the strided (H, W, 3) view is slower
-    gt_xyz = np.ascontiguousarray(gt_normals.normals.reshape(-1, 3).T)
+    gt_xyz = gt_normals.normals.reshape(-1, 3).T
     gt_mask = gt_normals.mask.reshape(-1)
     noise = np.empty((max((len(clean) for clean in cleans), default=0), gt_mask.size))
     noisy = np.empty_like(noise)
@@ -157,10 +166,9 @@ def compare_configs(
         _fill_noise(noise, spec)
         for c, (lights, clean) in enumerate(zip(configs.values(), cleans)):
             flat = np.add(clean, noise[:lights.m], out=noisy[:lights.m])
-            normals, _, valid = _unit_columns(flat, lights, spec.sigmas[:lights.m])
-            errors = _joint_errors(normals, valid, gt_xyz, gt_mask)[1]
-            pooled[c][counts[c]:counts[c] + errors.size] = errors
-            counts[c] += errors.size
+            normals, _, valid = _solve_columns(flat, lights, spec.sigmas[:lights.m], unit=True)
+            valid &= gt_mask
+            counts[c] += _joint_errors(normals, gt_xyz, valid, pooled[c][counts[c]:])
     # no samples: e.g. a light below the horizon shadows the whole scene
     return [ConfigComparison(name=name, lights=lights, phi=phi_shape_aware(lights, prior),
                              stats=_stats_from_samples(samples[:count], None) if count else None,

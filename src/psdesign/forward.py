@@ -22,6 +22,7 @@ from .core import (
     NormalMap,
     _readonly,
     freeze,
+    pixel_blocks,
     require_sigmas,
 )
 
@@ -127,18 +128,21 @@ def render_stack(nmap: NormalMap, amap: AlbedoMap, lights: LightConfig) -> Inten
         raise DimensionMismatchError(
             f"normal map {nmap.height}x{nmap.width} vs albedo map {amap.height}x{amap.width}"
         )
-    images = (lights.rows @ nmap.normals.reshape(-1, 3).T).reshape(lights.m, *amap.values.shape)
-    invalid = ~nmap.mask
-
-    def finish(i: int) -> None:  # one image at a time, while it is in cache
-        np.maximum(images[i], 0.0, out=images[i])
-        images[i] *= amap.values
-        # a broadcast write, not a gather; it also zeroes NaN from the
-        # unconstrained normals at invalid pixels
-        np.copyto(images[i], 0.0, where=invalid)
-
-    _for_each(finish, lights.m, nmap.mask.size)
-    return IntensityStack(images=freeze(images), sigmas=np.zeros(lights.m))
+    images = np.empty((lights.m, nmap.mask.size))
+    albedo, mask = amap.values.reshape(-1), nmap.mask.reshape(-1)
+    # invalid pixels hold unconstrained normals, and their products are zeroed
+    # below, so their NaN, inf or overflow is no error
+    with np.errstate(invalid="ignore", over="ignore"):
+        # one whole-frame product, for the reason the solver module gives
+        np.matmul(lights.rows, nmap.normals.reshape(-1, 3).T, out=images)
+        for s in pixel_blocks(albedo.size):
+            rho, invalid = albedo[s], ~mask[s]
+            for image in images[:, s]:  # one image at a time, while it is in cache
+                np.maximum(image, 0.0, out=image)
+                image *= rho
+                np.copyto(image, 0.0, where=invalid)  # a masked write, not a gather
+    return IntensityStack(images=freeze(images.reshape(lights.m, *amap.values.shape)),
+                          sigmas=np.zeros(lights.m))
 
 
 def _fill_noise(out: np.ndarray, noise: NoiseSpec, clean: np.ndarray | None = None) -> None:

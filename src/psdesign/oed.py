@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .core import (
     AlphaOutOfRangeError,
@@ -95,7 +94,10 @@ def covariance(lights: LightConfig, sigmas) -> EstimateCovariance:
 
 def chi_square_quantile(prob: float, dof: int = 3) -> float:
     """Chi-square quantile by the inverse regularized gamma, as scipy.stats.chi2.ppf
-    computes it; scipy.stats itself takes longer to import than all of psdesign."""
+    computes it.  scipy.stats takes longer to import than all of psdesign, and
+    scipy.special over half of ``import psdesign``, so it loads on first use."""
+    from scipy.special import gammaincinv
+
     if not 0.0 < prob < 1.0:
         raise AlphaOutOfRangeError(f"probability must be in (0, 1), got {prob}")
     return float(2.0 * gammaincinv(dof / 2.0, prob))

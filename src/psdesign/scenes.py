@@ -4,7 +4,8 @@ Scenes live in the normalized image frame [-1, 1]^2 under orthographic
 projection, camera looking along -Z.  Pixel center i of a dimension of size d
 maps to 2 * (i + 0.5) / d - 1.  Surfaces are described in gradient space
 (p, q) = (df/dx, df/dy); the stored camera-facing normal is
-(-p, -q, 1) / |(-p, -q, 1)|.
+(-p, -q, 1) / |(-p, -q, 1)|.  Both builders write the (3, H, W) layout of
+NormalMap, which adopts it.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from .core import (
     EmptyMaskError,
     InvalidSpecError,
     NormalMap,
+    freeze,
 )
 
 SCENE_KINDS = ("sphere", "paraboloid", "plane", "from_file")
 INGEST_NORM_FLOOR = 1e-12
+CAMERA_AXIS = ((0.0,), (0.0,), (1.0,))  # a (3, 1) column, for the (3, n) pixels it fills
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,14 @@ def _frame_coords(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normals_from_gradient(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    stacked = np.stack([-p, -q, np.ones_like(p)], axis=-1)
-    return stacked / np.linalg.norm(stacked, axis=-1, keepdims=True)
+    planes = np.stack([-p, -q, np.ones_like(p)])
+    planes /= np.linalg.norm(planes, axis=0)
+    return planes
+
+
+def _normal_map(planes: np.ndarray, mask: np.ndarray) -> NormalMap:
+    """Hand a fresh (3, H, W) buffer to NormalMap, which adopts it."""
+    return NormalMap(normals=freeze(planes).transpose(1, 2, 0), mask=mask)
 
 
 def generate(spec: SceneSpec) -> tuple[NormalMap, AlbedoMap]:
@@ -120,15 +129,12 @@ def generate(spec: SceneSpec) -> tuple[NormalMap, AlbedoMap]:
         rho2 = u * u + v * v
         mask = rho2 < 1.0
         nz = np.sqrt(np.clip(1.0 - rho2, 0.0, None))
-        normals = np.stack([u, v, nz], axis=-1)
-        normals[~mask] = (0.0, 0.0, 1.0)
+        normals = np.stack([u, v, nz])
+        normals[:, ~mask] = CAMERA_AXIS
     else:  # pragma: no cover - guarded by SceneSpec
         raise InvalidSpecError(spec.kind)
 
-    return (
-        NormalMap(normals=normals, mask=mask),
-        AlbedoMap(values=spec.albedo.render(spec.height, spec.width)),
-    )
+    return _normal_map(normals, mask), AlbedoMap(values=spec.albedo.render(spec.height, spec.width))
 
 
 def ingest_normal_map(path) -> NormalMap:
@@ -139,20 +145,19 @@ def ingest_normal_map(path) -> NormalMap:
     sidecar, when present, is intersected with these checks.
     """
     data, file_mask = pfm.read_normal_map_arrays(path)
-    vectors = data.astype(float)
-    finite = np.all(np.isfinite(vectors), axis=-1)
-    vectors[~finite] = 0.0
-    norms = np.linalg.norm(vectors, axis=-1)
+    vectors = np.array(data.transpose(2, 0, 1), dtype=float, order="C")
+    finite = np.all(np.isfinite(vectors), axis=0)
+    vectors[:, ~finite] = 0.0
+    norms = np.linalg.norm(vectors, axis=0)
     mask = finite & (norms > INGEST_NORM_FLOOR)
     if file_mask is not None:
         mask &= file_mask
-    safe = np.where(mask, norms, 1.0)
-    normals = vectors / safe[..., None]
-    mask &= normals[..., 2] > 0.0
-    normals[~mask] = (0.0, 0.0, 1.0)
+    vectors /= np.where(mask, norms, 1.0)
+    mask &= vectors[2] > 0.0
+    vectors[:, ~mask] = CAMERA_AXIS
     if not mask.any():
         raise EmptyMaskError(f"{path}: no valid camera-facing normals")
-    return NormalMap(normals=normals, mask=mask)
+    return _normal_map(vectors, mask)
 
 
 def export_normal_map(path, nmap: NormalMap) -> None:

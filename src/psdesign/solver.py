@@ -3,7 +3,13 @@
 The per-pixel model is linear, I = rho * S n = S n_tilde, with one S for every
 pixel, so a single (3, m) matrix solves them all: the whitened pseudo-inverse
 (S^T W S)^-1 S^T W, W = diag(1/sigma_i^2), formed once per call from the SVD of
-W^1/2 S and applied to the (m, P) stack as one matrix product.  Singular values
+W^1/2 S.  It is applied to the (m, P) stack as one whole-frame matrix product,
+straight into the (3, P) output; the norms, the shadow, degeneracy and facing
+tests and the normalisation then run over the frame in ``pixel_blocks``.  The
+product is not blocked because BLAS picks its kernel by shape: a one-column
+block goes through gemv, and from 16 lights on the last columns of a product
+round differently with its width, so blocked products would not reproduce
+the bytes of a whole-frame one.  Singular values
 at or below max(m, 3) * eps of the largest are cut, as in lstsq(rcond=None).
 LightConfig keeps cond(S) below 1e9, so the cut never fires on a valid config,
 and the explicit pseudo-inverse has forward error O(cond(S) * eps), the order
@@ -27,6 +33,7 @@ from .core import (
     NonPositiveSigmaError,
     NormalMap,
     freeze,
+    pixel_blocks,
     require_sigmas,
 )
 
@@ -66,20 +73,31 @@ def _noise_terms(lights: LightConfig, sigmas) -> tuple[np.ndarray, float]:
     return 1.0 / sig, tau
 
 
-def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas):
+def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas, unit: bool = False):
     """The one per-pixel kernel: n_tilde as (3, P) for an (m, P) stack, its
     norms, and which pixels are neither shadowed nor degenerate
     (|n_tilde| <= 1e-9).  The weights sit in the columns of the pseudo-inverse,
-    so the stack itself is never scaled."""
+    so the stack itself is never scaled.
+
+    With ``unit``, a pixel that faces away from the camera (z <= 0) is invalid
+    too, and the columns become unit normals, the camera axis at invalid
+    pixels.  All three arrays are fresh, so callers may seal them.
+    """
     w, tau = _noise_terms(lights, sigmas)
     design = lights.rows * w[:, None]
     pinv = np.linalg.pinv(design, rcond=max(design.shape) * np.finfo(float).eps) * w
     n_tilde = pinv @ flat
-    norms = np.sqrt(np.einsum("cp,cp->p", n_tilde, n_tilde))
-    lit = flat[0] >= tau  # row by row, so no (m, P) temporary is made
-    for row in flat[1:]:
-        lit &= row >= tau
-    ok = lit & (norms > DEGENERATE_NORM)
+    norms, ok = np.empty(flat.shape[1]), np.empty(flat.shape[1], dtype=bool)
+    for s in pixel_blocks(len(norms)):
+        cols, norm, valid = n_tilde[:, s], norms[s], ok[s]
+        np.sqrt(np.einsum("cp,cp->p", cols, cols, out=norm), out=norm)
+        np.greater(norm, DEGENERATE_NORM, out=valid)
+        for row in flat[:, s]:
+            valid &= row >= tau
+        if unit:
+            valid &= cols[2] > 0.0
+            cols /= np.where(valid, norm, 1.0)
+            np.copyto(cols, CAMERA_AXIS[:, None], where=~valid)
     return n_tilde, norms, ok
 
 
@@ -88,20 +106,6 @@ def _solve_pixel(intensities: np.ndarray, lights: LightConfig, sigmas) -> PixelE
     n_tilde, norm, valid = n_tilde[:, 0], float(norms[0]), bool(ok[0])
     return PixelEstimate(n_tilde=n_tilde, albedo=norm,
                          normal=n_tilde / norm if valid else CAMERA_AXIS.copy(), valid=valid)
-
-
-def _unit_columns(flat: np.ndarray, lights: LightConfig, sigmas):
-    """Unit normals (3, P), albedo (P,) and validity (P,) for an (m, P) stack.
-
-    A pixel is invalid when it is shadowed, degenerate or faces away from the
-    camera (z <= 0); its column holds the camera axis.  All three arrays are
-    fresh, so callers may seal them.
-    """
-    normals, albedo, ok = _solve_columns(flat, lights, sigmas)
-    valid = ok & (normals[2] > 0.0)
-    normals /= np.where(valid, albedo, 1.0)
-    np.copyto(normals, CAMERA_AXIS[:, None], where=~valid)
-    return normals, albedo, valid
 
 
 def solve_exact(intensities, lights: LightConfig) -> PixelEstimate:
@@ -142,9 +146,9 @@ def solve_map(stack: IntensityStack, lights: LightConfig) -> tuple[NormalMap, Al
     if stack.m != lights.m:
         raise DimensionMismatchError(f"stack has {stack.m} images but config has {lights.m} lights")
     h, w_px = stack.height, stack.width
-    normals, albedo, valid = _unit_columns(stack.images.reshape(stack.m, -1), lights, stack.sigmas)
-    # the maps adopt these fresh buffers; (3, P) transposed is a strided view
-    # of the (H, W, 3) map, not a copy
-    nmap = NormalMap(normals=freeze(normals).T.reshape(h, w_px, 3),
+    normals, albedo, valid = _solve_columns(stack.images.reshape(stack.m, -1), lights,
+                                            stack.sigmas, unit=True)
+    # the maps adopt these fresh buffers; (3, P) is the map's own layout
+    nmap = NormalMap(normals=freeze(normals).reshape(3, h, w_px).transpose(1, 2, 0),
                      mask=freeze(valid).reshape(h, w_px))
     return nmap, AlbedoMap(values=freeze(albedo).reshape(h, w_px))

@@ -271,6 +271,24 @@ def test_exit_codes(tmp_path):
     assert exc.value.code == 1
 
 
+def test_no_valid_pixels_is_numeric_error(tmp_path, capsys):
+    # a valid config, but the first light of seed 7's random rig renders the
+    # frontal plane at 0.014, below the 3-sigma shadow threshold of 0.06, so
+    # the solve leaves no pixel valid
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, lights={"baseline": "random", "m": 6}, noise={"sigma": 0.02})
+    config = ["--config", str(cfg_path)]
+    assert main(["render", *config, "--out", str(tmp_path / "r")]) == 0
+    assert main(["solve", "--sidecar", str(tmp_path / "r" / "render.json"),
+                 "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    for argv in (["optimize", *config], ["baseline", *config, "--count", "3"],
+                 ["pipeline", *config], ["evaluate", "--est", str(tmp_path / "s" / "normals.pfm"),
+                                         "--gt", str(tmp_path / "r" / "gt_normals.pfm")]):
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 2, argv[0]
+        assert capsys.readouterr().err.startswith("psdesign: no valid pixels: "), argv[0]
+
+
 def _set(*path, value):
     """A config edit that sets the value at ``path``."""
     def edit(cfg):

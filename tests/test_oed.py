@@ -117,7 +117,9 @@ class TestConfidenceRegion:
         src = os.path.dirname(os.path.dirname(os.path.abspath(psdesign.__file__)))
         child = subprocess.run(
             [sys.executable, "-c",
-             "import sys, psdesign, psdesign.cli; sys.exit('scipy.stats' in sys.modules)"],
+             "import sys, psdesign, psdesign.cli\n"
+             "loaded = sorted(n for n in sys.modules if n.partition('.')[0] == 'scipy')\n"
+             "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
 
