@@ -206,9 +206,7 @@ class NormalMap:
                 f"mask shape {mask.shape} does not match normals {normals.shape[:2]}"
             )
         if not (_sealed(normals) and normals.transpose(2, 0, 1).flags.c_contiguous):
-            planes = np.empty((3, *mask.shape))
-            np.copyto(planes, normals.transpose(2, 0, 1))
-            normals = freeze(planes).transpose(1, 2, 0)
+            normals = freeze(np.array(normals.transpose(2, 0, 1), order="C")).transpose(1, 2, 0)
         rows, valid = normals.reshape(-1, 3).T, mask.reshape(-1)
         facing = True  # a unit failure anywhere is reported first
         # invalid pixels may hold anything: squaring a huge value there overflows harmlessly
