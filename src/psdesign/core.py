@@ -17,11 +17,19 @@ over the buffers they build; any other input is copied into it.
 
 The per-pixel layers walk a frame in ``pixel_blocks``: the temporaries of one
 block stay in the L2 cache instead of each being a fresh whole-frame array.
+Blocks write disjoint outputs, so a layer hands them to a ``runner``, which
+spreads them over the CPUs; the bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +40,10 @@ RANK_RTOL = 1e-9
 
 # Pixels per block of the per-pixel layers: a (3, B) float block is 768 KiB.
 BLOCK_PIXELS = 1 << 15
+
+# Frames below this many pixels run their tasks in a plain loop: on a 2-core
+# Xeon the hand-off to a thread cost more than it saved below about 256 x 256.
+PARALLEL_MIN_PIXELS = 1 << 16
 
 
 class PhotometryError(Exception):
@@ -99,10 +111,70 @@ def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
     return a if _sealed(a, dtype) else freeze(np.array(a, dtype=dtype, copy=True))
 
 
-def pixel_blocks(count: int):
+def pixel_blocks(count: int) -> list[slice]:
     """Consecutive slices of at most BLOCK_PIXELS that cover range(count)."""
     step = BLOCK_PIXELS
-    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run(pool, helpers: int, task, items) -> list:
+    """``[task(item) for item in items]`` on this thread and ``helpers`` of ``pool``."""
+    items = list(items)
+    results, todo, lock = [None] * len(items), iter(range(len(items))), threading.Lock()
+    errstate = np.geterr()  # threads start with numpy's default
+
+    def drain() -> None:
+        with np.errstate(**errstate):
+            while True:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                results[i] = task(items[i])
+
+    started = [pool.submit(drain) for _ in range(min(helpers, len(items) - 1))]
+    try:
+        drain()
+    finally:  # a helper still queued has nothing left to do
+        errors = [future.exception() for future in started if not future.cancel()]
+    for error in filter(None, errors):
+        raise error
+    return results
+
+
+# the run of the open runner in this context, which runners opened inside it reuse
+_OPEN_RUN = contextvars.ContextVar("psdesign_open_run", default=None)
+
+
+@contextmanager
+def runner(pixels: int):
+    """Yield ``run(task, items)``, which returns ``[task(item) for item in
+    items]`` for tasks with disjoint outputs on a frame of ``pixels``.  From
+    PARALLEL_MIN_PIXELS on, with more than one CPU, the calling thread runs
+    the tasks beside up to CPUs - 1 threads, each under the caller's
+    ``np.errstate``.  A runner opened inside another on the same thread
+    reuses its threads, which end with the outer one.  A task's exception is
+    raised once the tasks already started have finished.  Smaller frames, or
+    one CPU, run a plain loop."""
+    helpers = _cpu_count() - 1
+    if helpers < 1 or pixels < PARALLEL_MIN_PIXELS:
+        yield partial(_run, None, 0)
+    elif _OPEN_RUN.get() is not None:
+        yield _OPEN_RUN.get()
+    else:
+        with ThreadPoolExecutor(max_workers=helpers, thread_name_prefix="psdesign") as pool:
+            token = _OPEN_RUN.set(partial(_run, pool, helpers))
+            try:
+                yield _OPEN_RUN.get()
+            finally:
+                _OPEN_RUN.reset(token)
 
 
 def require_sigmas(sigmas, count: int | None = None, positive: bool = False) -> np.ndarray:
@@ -208,17 +280,19 @@ class NormalMap:
         if not (_sealed(normals) and normals.transpose(2, 0, 1).flags.c_contiguous):
             normals = freeze(np.array(normals.transpose(2, 0, 1), order="C")).transpose(1, 2, 0)
         rows, valid = normals.reshape(-1, 3).T, mask.reshape(-1)
-        facing = True  # a unit failure anywhere is reported first
+
+        def failures(s: slice) -> tuple[bool, bool]:  # not unit, not facing; NaN fails both
+            block, inside = rows[:, s], valid[s]
+            sq = np.abs(np.einsum("cp,cp->p", block, block) - 1.0)
+            return np.any(inside & ~(sq <= MAP_UNIT_TOL)), np.any(inside & ~(block[2] > 0.0))
+
         # invalid pixels may hold anything: squaring a huge value there overflows harmlessly
-        with np.errstate(over="ignore"):
-            for s in pixel_blocks(valid.size):
-                block, inside = rows[:, s], valid[s]
-                sq = np.einsum("cp,cp->p", block, block)
-                sq -= 1.0
-                if np.any(inside & (np.abs(sq, out=sq) > MAP_UNIT_TOL)):
-                    raise InvalidSpecError("valid normals must be unit within 1e-9")
-                facing = facing and not np.any(inside & (block[2] <= 0.0))
-        if not facing:
+        with np.errstate(over="ignore"), runner(valid.size) as run:
+            flags = run(failures, pixel_blocks(valid.size))
+        nonunit, backfacing = np.any([(False, False), *flags], 0)
+        if nonunit:  # reported before a facing failure anywhere
+            raise InvalidSpecError("valid normals must be unit within 1e-9")
+        if backfacing:
             raise InvalidSpecError("valid normals must face the camera (z > 0)")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "mask", _readonly(mask, dtype=bool))

@@ -20,6 +20,7 @@ from .core import (
     NormalMap,
     freeze,
     pixel_blocks,
+    runner,
 )
 # add_noise and solve_map are not called here, but perfbench's traced run patches them here
 from .forward import NoiseSpec, Stage, _fill_noise, add_noise, render_stack, stream_key  # noqa: F401
@@ -65,17 +66,23 @@ def _angle_deg(a, b, out=None):
 
 
 def _joint_errors(est_xyz, gt_xyz, joint, out) -> int:
-    """Write the angular errors at the ``joint`` pixels into ``out``, block by
-    block in row-major pixel order, and return how many there are.  The
-    normals come as (3, P) unit columns and ``joint`` as a (P,) mask."""
-    count = 0
-    for s in pixel_blocks(joint.size):
+    """Write the angular errors at the ``joint`` pixels into ``out`` in
+    row-major pixel order, each block at the count of those before it, and
+    return how many there are.  The normals come as (3, P) unit columns and
+    ``joint`` as a (P,) mask."""
+    blocks = pixel_blocks(joint.size)
+
+    def write(block) -> None:
+        s, start = block
         idx = np.flatnonzero(joint[s])
         # row by row: take along axis 1 would first copy the strided (3, B) block
         _angle_deg([row[s].take(idx) for row in est_xyz], [row[s].take(idx) for row in gt_xyz],
-                   out=out[count:count + idx.size])
-        count += idx.size
-    return count
+                   out=out[start:start + idx.size])
+
+    with runner(joint.size) as run:
+        starts = np.cumsum([0] + run(np.count_nonzero, [joint[s] for s in blocks]))
+        run(write, zip(blocks, starts))
+    return int(starts[-1])
 
 
 def _stats_from_samples(samples: np.ndarray, error_map: np.ndarray | None) -> AngularErrorStats:
@@ -83,7 +90,8 @@ def _stats_from_samples(samples: np.ndarray, error_map: np.ndarray | None) -> An
     if samples.size == 0:
         raise EmptyMaskError("no valid pixels in common")
     counts = np.histogram(samples, bins=HISTOGRAM_EDGES)[0]
-    overflow = int(np.count_nonzero(samples >= HISTOGRAM_EDGES[-1]))
+    overflow = sum(np.count_nonzero(samples[s] >= HISTOGRAM_EDGES[-1])  # no whole-pool mask
+                   for s in pixel_blocks(samples.size))
     return AngularErrorStats(  # arguments run in order: the mean sums before any reordering
         mean_deg=float(samples.mean()),
         median_deg=float(np.median(samples, overwrite_input=True)),
@@ -142,8 +150,11 @@ def compare_configs(
     ``substream(stream_key(seed, Stage.COMPARE, k), i)``.  Each config adds
     its first m images to its clean stack (common random numbers), so a row
     does not depend on the configs beside it, and solves and scores it on the
-    solver's (3, P) arrays.  The noise and noisy stacks are two buffers reused
-    by every trial; every config's clean stack lives for the whole call.
+    solver's (3, P) arrays.  One noise buffer and one noisy buffer serve every
+    trial and config; every config's clean stack lives for the whole call.
+    One runner (see ``core.runner``) serves the whole call, so its threads
+    start once; the blocks of the renders, solves and angular errors, the
+    noise fill, the noisy add and each config's statistics are its tasks.
     Samples are pooled across trials, so the stats carry no error map; a
     config that leaves no pixel valid in any trial gets note="no-valid-pixels"
     and no stats.  Each row also records phi under the scene's prior.
@@ -152,25 +163,30 @@ def compare_configs(
         raise ValueError("trials must be >= 1")
     if prior is None:
         prior = build_shape_prior(gt_normals)
-    cleans = [render_stack(gt_normals, albedo, c).images.reshape(c.m, -1) for c in configs.values()]
     gt_xyz = gt_normals.normals.reshape(-1, 3).T
     gt_mask = gt_normals.mask.reshape(-1)
-    noise = np.empty((max((len(clean) for clean in cleans), default=0), gt_mask.size))
-    noisy = np.empty_like(noise)
-    # a config pools at most this many errors; pages never written are never
-    # committed, so no per-trial piece is kept and no concatenated copy made
-    pooled = [np.empty(trials * int(np.count_nonzero(gt_mask))) for _ in cleans]
-    counts = [0] * len(cleans)
-    for k in range(trials):
-        spec = NoiseSpec.uniform(sigma, len(noise), seed=stream_key(seed, Stage.COMPARE, k))
-        _fill_noise(noise, spec)
-        for c, (lights, clean) in enumerate(zip(configs.values(), cleans)):
-            flat = np.add(clean, noise[:lights.m], out=noisy[:lights.m])
-            normals, _, valid = _solve_columns(flat, lights, spec.sigmas[:lights.m], unit=True)
-            valid &= gt_mask
-            counts[c] += _joint_errors(normals, gt_xyz, valid, pooled[c][counts[c]:])
-    # no samples: e.g. a light below the horizon shadows the whole scene
+    blocks = pixel_blocks(gt_mask.size)
+    with runner(gt_mask.size) as run:
+        cleans = [render_stack(gt_normals, albedo, c).images.reshape(c.m, -1)
+                  for c in configs.values()]
+        noise = np.empty((max((len(clean) for clean in cleans), default=0), gt_mask.size))
+        noisy = np.empty_like(noise)
+        # a config pools at most this many errors; pages never written are never
+        # committed, so no per-trial piece is kept and no concatenated copy made
+        pooled = [np.empty(trials * int(np.count_nonzero(gt_mask))) for _ in cleans]
+        counts = [0] * len(cleans)
+        for k in range(trials):
+            spec = NoiseSpec.uniform(sigma, len(noise), seed=stream_key(seed, Stage.COMPARE, k))
+            _fill_noise(noise, spec)
+            for c, (lights, clean) in enumerate(zip(configs.values(), cleans)):
+                flat = noisy[:lights.m]
+                run(lambda s: np.add(clean[:, s], noise[:lights.m, s], out=flat[:, s]), blocks)
+                normals, _, valid = _solve_columns(flat, lights, spec.sigmas[:lights.m], unit=True)
+                valid &= gt_mask
+                counts[c] += _joint_errors(normals, gt_xyz, valid, pooled[c][counts[c]:])
+        # no samples: e.g. a light below the horizon shadows the whole scene
+        stats = run(lambda c: _stats_from_samples(pooled[c][:counts[c]], None)
+                    if counts[c] else None, range(len(counts)))
     return [ConfigComparison(name=name, lights=lights, phi=phi_shape_aware(lights, prior),
-                             stats=_stats_from_samples(samples[:count], None) if count else None,
-                             note="ok" if count else "no-valid-pixels")
-            for (name, lights), samples, count in zip(configs.items(), pooled, counts)]
+                             stats=row, note="ok" if row is not None else "no-valid-pixels")
+            for (name, lights), row in zip(configs.items(), stats)]

@@ -8,8 +8,6 @@ Gaussian; quantization and sensor saturation are not modeled.
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,36 +22,8 @@ from .core import (
     freeze,
     pixel_blocks,
     require_sigmas,
+    runner,
 )
-
-# Per-image work below this many pixels runs in a plain loop: on a 2-core Xeon
-# the hand-off to a thread cost more than it saved below about 256 x 256.
-PARALLEL_MIN_PIXELS = 1 << 16
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _for_each(task, count: int, pixels: int) -> None:
-    """Run ``task(i)`` for i in range(count), each on an image of ``pixels``
-    pixels; tasks must write disjoint outputs.
-
-    Images of at least PARALLEL_MIN_PIXELS run on min(CPUs, count) threads
-    that start and end within this call; anything smaller, or a single CPU,
-    runs in a plain loop.  A task's exception is raised once every task that
-    started has finished, and the tasks not yet started are dropped."""
-    workers = min(_cpu_count(), count)
-    if workers <= 1 or pixels < PARALLEL_MIN_PIXELS:
-        for i in range(count):
-            task(i)
-        return
-    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="psdesign") as pool:
-        for _ in pool.map(task, range(count)):  # re-raises a task's exception
-            pass
 
 
 class Stage(enum.IntEnum):
@@ -130,17 +100,20 @@ def render_stack(nmap: NormalMap, amap: AlbedoMap, lights: LightConfig) -> Inten
         )
     images = np.empty((lights.m, nmap.mask.size))
     albedo, mask = amap.values.reshape(-1), nmap.mask.reshape(-1)
+
+    def finish(s: slice) -> None:
+        rho, invalid = albedo[s], ~mask[s]
+        for image in images[:, s]:  # one image at a time, while it is in cache
+            np.maximum(image, 0.0, out=image)
+            image *= rho
+            np.copyto(image, 0.0, where=invalid)  # a masked write, not a gather
+
     # invalid pixels hold unconstrained normals, and their products are zeroed
     # below, so their NaN, inf or overflow is no error
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"), runner(albedo.size) as run:
         # one whole-frame product, for the reason the solver module gives
         np.matmul(lights.rows, nmap.normals.reshape(-1, 3).T, out=images)
-        for s in pixel_blocks(albedo.size):
-            rho, invalid = albedo[s], ~mask[s]
-            for image in images[:, s]:  # one image at a time, while it is in cache
-                np.maximum(image, 0.0, out=image)
-                image *= rho
-                np.copyto(image, 0.0, where=invalid)  # a masked write, not a gather
+        run(finish, pixel_blocks(albedo.size))
     return IntensityStack(images=freeze(images.reshape(lights.m, *amap.values.shape)),
                           sigmas=np.zeros(lights.m))
 
@@ -148,7 +121,7 @@ def render_stack(nmap: NormalMap, amap: AlbedoMap, lights: LightConfig) -> Inten
 def _fill_noise(out: np.ndarray, noise: NoiseSpec, clean: np.ndarray | None = None) -> None:
     """Write sigma_i * substream(noise.seed, i).standard_normal() into row i
     of the (m, P) ``out``, plus ``clean[i]`` when given; an image with sigma 0
-    draws nothing.  Each image is one task of _for_each; the streams are
+    draws nothing.  Each image is one task of a runner; the streams are
     independent, so the bytes do not depend on the thread count."""
     def fill(i: int) -> None:
         sigma = noise.sigmas[i]
@@ -160,7 +133,8 @@ def _fill_noise(out: np.ndarray, noise: NoiseSpec, clean: np.ndarray | None = No
         if clean is not None:
             out[i] += clean[i]
 
-    _for_each(fill, len(out), out.shape[-1])
+    with runner(out.shape[-1]) as run:
+        run(fill, range(len(out)))
 
 
 def add_noise(stack: IntensityStack, noise: NoiseSpec) -> IntensityStack:

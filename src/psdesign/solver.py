@@ -5,12 +5,13 @@ pixel, so a single (3, m) matrix solves them all: the whitened pseudo-inverse
 (S^T W S)^-1 S^T W, W = diag(1/sigma_i^2), formed once per call from the SVD of
 W^1/2 S.  It is applied to the (m, P) stack as one whole-frame matrix product,
 straight into the (3, P) output; the norms, the shadow, degeneracy and facing
-tests and the normalisation then run over the frame in ``pixel_blocks``.  The
-product is not blocked because BLAS picks its kernel by shape: a one-column
-block goes through gemv, and from 16 lights on the last columns of a product
-round differently with its width, so blocked products would not reproduce
-the bytes of a whole-frame one.  Singular values
-at or below max(m, 3) * eps of the largest are cut, as in lstsq(rcond=None).
+tests and the normalisation then run over the frame in ``pixel_blocks``, on
+every CPU (see ``core.runner``).  The product is neither blocked nor split
+between threads because BLAS picks its kernel by shape: a one-column block
+goes through gemv, and from 16 lights on the last columns of a product round
+differently with its width, so narrower products would not reproduce the
+bytes of a whole-frame one.  Singular values at or below max(m, 3) * eps of
+the largest are cut, as in lstsq(rcond=None).
 LightConfig keeps cond(S) below 1e9, so the cut never fires on a valid config,
 and the explicit pseudo-inverse has forward error O(cond(S) * eps), the order
 of a per-column orthogonal solve.  Pixels are excluded when any raw intensity
@@ -35,6 +36,7 @@ from .core import (
     freeze,
     pixel_blocks,
     require_sigmas,
+    runner,
 )
 
 DEGENERATE_NORM = 1e-9
@@ -88,7 +90,8 @@ def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas, unit: bool = F
     pinv = np.linalg.pinv(design, rcond=max(design.shape) * np.finfo(float).eps) * w
     n_tilde = pinv @ flat
     norms, ok = np.empty(flat.shape[1]), np.empty(flat.shape[1], dtype=bool)
-    for s in pixel_blocks(len(norms)):
+
+    def finish(s: slice) -> None:
         cols, norm, valid = n_tilde[:, s], norms[s], ok[s]
         np.sqrt(np.einsum("cp,cp->p", cols, cols, out=norm), out=norm)
         np.greater(norm, DEGENERATE_NORM, out=valid)
@@ -98,6 +101,9 @@ def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas, unit: bool = F
             valid &= cols[2] > 0.0
             cols /= np.where(valid, norm, 1.0)
             np.copyto(cols, CAMERA_AXIS[:, None], where=~valid)
+
+    with runner(len(norms)) as run:
+        run(finish, pixel_blocks(len(norms)))
     return n_tilde, norms, ok
 
 
@@ -146,9 +152,10 @@ def solve_map(stack: IntensityStack, lights: LightConfig) -> tuple[NormalMap, Al
     if stack.m != lights.m:
         raise DimensionMismatchError(f"stack has {stack.m} images but config has {lights.m} lights")
     h, w_px = stack.height, stack.width
-    normals, albedo, valid = _solve_columns(stack.images.reshape(stack.m, -1), lights,
-                                            stack.sigmas, unit=True)
-    # the maps adopt these fresh buffers; (3, P) is the map's own layout
-    nmap = NormalMap(normals=freeze(normals).reshape(3, h, w_px).transpose(1, 2, 0),
-                     mask=freeze(valid).reshape(h, w_px))
+    with runner(h * w_px):  # one for the solve and the map's checks
+        normals, albedo, valid = _solve_columns(stack.images.reshape(stack.m, -1), lights,
+                                                stack.sigmas, unit=True)
+        # the maps adopt these fresh buffers; (3, P) is the map's own layout
+        nmap = NormalMap(normals=freeze(normals).reshape(3, h, w_px).transpose(1, 2, 0),
+                         mask=freeze(valid).reshape(h, w_px))
     return nmap, AlbedoMap(values=freeze(albedo).reshape(h, w_px))

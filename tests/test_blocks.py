@@ -1,8 +1,9 @@
-"""Block-walked per-pixel layers: the block size changes no output bit, the
-checks still reach the last partial block, and every map holds its normals
-component-major."""
+"""Block-walked per-pixel layers: the block size and the thread count change
+no output bit, the checks still reach the last partial block, and every map
+holds its normals component-major."""
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +23,21 @@ from psdesign import core, solver
 from psdesign.scenes import AlbedoSpec, SceneSpec, export_normal_map, generate, ingest_normal_map
 
 DEFAULT = core.BLOCK_PIXELS
+
+
+def reach_threads(monkeypatch, cpus: int = 2) -> list:
+    """Report ``cpus`` CPUs and send frames of any size to the runner's
+    threads; returns the list to which each pool opened appends itself."""
+    pools = []
+
+    def counting(*args, **kwargs):
+        pools.append(ThreadPoolExecutor(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(core, "PARALLEL_MIN_PIXELS", 1)
+    monkeypatch.setattr(core, "ThreadPoolExecutor", counting)
+    return pools
 
 
 def cap_rig(m: int) -> LightConfig:
@@ -75,11 +91,16 @@ BLOCK_CASES = [
                          ids=[f"{b}-{h}x{w}" for b, (h, w) in BLOCK_CASES])
 def test_block_size_changes_no_byte(monkeypatch, block, shape):
     h, w = shape
+    assert h * w < core.PARALLEL_MIN_PIXELS  # the reference runs in a plain loop
     monkeypatch.setattr(core, "BLOCK_PIXELS", h * w + 1)  # one block: the whole frame
     whole = layer_outputs(h, w)
     assert whole[4] is not None and all(row[2] == "ok" for row in whole[5:])
     monkeypatch.setattr(core, "BLOCK_PIXELS", block)
     assert layer_outputs(h, w) == whole
+    for cpus in (1, 2, 3):
+        pools = reach_threads(monkeypatch, cpus)
+        assert layer_outputs(h, w) == whole, f"{cpus} CPUs"
+        assert bool(pools) == (cpus > 1)
 
 
 def up_normals(h: int, w: int) -> np.ndarray:
@@ -90,20 +111,24 @@ def up_normals(h: int, w: int) -> np.ndarray:
 
 @pytest.mark.parametrize("block, shape", [(7, (30, 20)), (DEFAULT, (300, 200))])
 @pytest.mark.parametrize("bad, message", [((0.0, 0.6, 0.6), "unit"),
-                                          ((0.0, 0.0, -1.0), "face the camera")],
-                         ids=["non-unit", "back-facing"])
+                                          ((0.0, 0.0, -1.0), "face the camera"),
+                                          ((np.nan, 0.0, 1.0), "unit")],
+                         ids=["non-unit", "back-facing", "nan"])
 def test_bad_normal_in_the_last_partial_block_is_rejected(monkeypatch, block, shape, bad,
                                                           message):
     monkeypatch.setattr(core, "BLOCK_PIXELS", block)
     assert (shape[0] * shape[1]) % block != 0
     normals = up_normals(*shape)
     normals[-1, -1] = bad
-    with pytest.raises(InvalidSpecError, match=message):
-        NormalMap(normals=normals, mask=np.ones(shape, bool))
     # the same pixel off the mask is unconstrained
     mask = np.ones(shape, bool)
     mask[-1, -1] = False
-    NormalMap(normals=normals, mask=mask)
+    for threads in (False, True):
+        if threads:
+            reach_threads(monkeypatch)
+        with pytest.raises(InvalidSpecError, match=message):
+            NormalMap(normals=normals, mask=np.ones(shape, bool))
+        NormalMap(normals=normals, mask=mask)
 
 
 def test_unit_check_is_reported_before_an_earlier_facing_failure(monkeypatch):
@@ -111,8 +136,11 @@ def test_unit_check_is_reported_before_an_earlier_facing_failure(monkeypatch):
     normals = up_normals(30, 20)
     normals[0, 0] = (0.0, 0.0, -1.0)  # first block: back-facing
     normals[-1, -1] = (0.0, 0.6, 0.6)  # last block: not unit
-    with pytest.raises(InvalidSpecError, match="unit"):
-        NormalMap(normals=normals, mask=np.ones((30, 20), bool))
+    for threads in (False, True):
+        if threads:  # the first and last blocks may now run on different threads
+            reach_threads(monkeypatch)
+        with pytest.raises(InvalidSpecError, match="unit"):
+            NormalMap(normals=normals, mask=np.ones((30, 20), bool))
 
 
 @pytest.mark.parametrize("junk", [np.nan, np.inf, -np.inf, 1e308])
@@ -121,14 +149,17 @@ def test_junk_at_invalid_pixels_raises_no_warning(monkeypatch, junk):
     nmap, amap = sphere(30, 20)
     normals = np.array(nmap.normals)
     normals[~nmap.mask] = junk
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        junky = NormalMap(normals=normals, mask=nmap.mask)
-        images = render_stack(junky, amap, RIGS["cap16"]).images
-        scored = compare_maps(junky, nmap), compare_maps(nmap, junky)
-    assert images.tobytes() == render_stack(nmap, amap, RIGS["cap16"]).images.tobytes()
-    clean = stats_bytes(compare_maps(nmap, nmap))
-    assert [stats_bytes(stats) for stats in scored] == [clean, clean]
+    for threads in (False, True):
+        if threads:  # each thread's numpy error state must be the caller's
+            reach_threads(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            junky = NormalMap(normals=normals, mask=nmap.mask)
+            images = render_stack(junky, amap, RIGS["cap16"]).images
+            scored = compare_maps(junky, nmap), compare_maps(nmap, junky)
+        assert images.tobytes() == render_stack(nmap, amap, RIGS["cap16"]).images.tobytes()
+        clean = stats_bytes(compare_maps(nmap, nmap))
+        assert [stats_bytes(stats) for stats in scored] == [clean, clean]
 
 
 def rows_of(nmap: NormalMap) -> np.ndarray:

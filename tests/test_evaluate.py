@@ -21,7 +21,7 @@ from psdesign import (
     solve_map,
     stream_key,
 )
-from psdesign import forward
+from psdesign import core
 from psdesign.evaluate import HISTOGRAM_EDGES
 from psdesign.oed import build_shape_prior
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
@@ -244,26 +244,27 @@ class TestCompareConfigs:
         assert_same_rows([table[0]], [table[2]])
 
     def test_rows_do_not_depend_on_the_thread_count(self, monkeypatch):
-        # 256 x 256 images reach PARALLEL_MIN_PIXELS, so the noise fill runs on
+        # 256 x 256 images reach PARALLEL_MIN_PIXELS, so the comparison runs on
         # threads when more than one CPU is reported
         nmap, amap = generate(SceneSpec(kind="sphere", width=256, height=256,
                                         albedo=AlbedoSpec(value=0.9)))
-        assert nmap.mask.size >= forward.PARALLEL_MIN_PIXELS
+        assert nmap.mask.size >= core.PARALLEL_MIN_PIXELS
         pools = []
 
         def counting(*args, **kwargs):
             pools.append(kwargs)
             return ThreadPoolExecutor(*args, **kwargs)
 
-        monkeypatch.setattr(forward, "ThreadPoolExecutor", counting)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", counting)
         tables = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(forward, "_cpu_count", lambda cpus=cpus: cpus)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(core, "_cpu_count", lambda cpus=cpus: cpus)
             tables.append(compare_configs(nmap, amap, self.configs(), sigma=0.02, trials=2,
                                           seed=12))
-            assert len(pools) == (0 if cpus == 1 else 2)  # 2 trial draws; renders start none
+            assert len(pools) == cpus - 1  # one pool per call, for its renders and trials
         assert [row.note for row in tables[0]] == ["ok", "ok"]
-        assert_same_rows(*tables)
+        assert_same_rows(tables[0], tables[1])
+        assert_same_rows(tables[0], tables[2])
 
     def test_builds_no_per_trial_maps(self, monkeypatch):
         nmap, amap = self.scene()

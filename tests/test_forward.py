@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import psdesign
-from psdesign import forward
+from psdesign import core
 
 from psdesign import (
     AlbedoMap,
@@ -20,6 +20,7 @@ from psdesign import (
     NoiseSpec,
     NormalMap,
     add_noise,
+    compare_maps,
     render_pixel,
     render_stack,
     solve_map,
@@ -220,15 +221,34 @@ def child_env() -> dict:
 ONE_CPU_CHILD = """
 import os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from psdesign import forward
+from psdesign import core
 from test_forward import noise_digest
 
 def no_pool(*args, **kwargs):
     raise AssertionError("one CPU must fill the images in a plain loop")
 
-forward.ThreadPoolExecutor = no_pool
+core.ThreadPoolExecutor = no_pool
 print(noise_digest(int(sys.argv[1])))
 """
+
+
+def map_digest() -> str:
+    """Digest of solve_map and compare_maps on a frame large enough for threads."""
+    nmap, amap = generate(SceneSpec(kind="sphere", width=NOISE_SHAPE[1], height=NOISE_SHAPE[0],
+                                    albedo=AlbedoSpec(value=0.9)))
+    slant = np.radians(30.0)
+    tilt = np.arange(4) * np.pi / 2
+    lights = LightConfig(rows=np.stack([np.sin(slant) * np.cos(tilt), np.sin(slant) * np.sin(tilt),
+                                        np.full(4, np.cos(slant))], axis=1))
+    stack = add_noise(render_stack(nmap, amap, lights),
+                      NoiseSpec.uniform(0.01, lights.m, seed=NOISE_SEED))
+    est, albedo = solve_map(stack, lights)
+    stats = compare_maps(est, nmap)
+    digest = hashlib.sha256()
+    for array in (est.normals, est.mask, albedo.values, stats.error_map, stats.histogram_counts,
+                  np.array([stats.mean_deg, stats.median_deg, stats.p90_deg, stats.max_deg])):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
 
 
 def psdesign_threads() -> list:
@@ -238,7 +258,7 @@ def psdesign_threads() -> list:
 class TestNoiseExactness:
     @pytest.mark.parametrize("m", [3, 16])
     def test_equals_per_image_normal_draws(self, m):
-        assert NOISE_SHAPE[0] * NOISE_SHAPE[1] >= forward.PARALLEL_MIN_PIXELS
+        assert NOISE_SHAPE[0] * NOISE_SHAPE[1] >= core.PARALLEL_MIN_PIXELS
         stack, spec = noise_case(m)
         clean = stack.images.tobytes()
         noisy = add_noise(stack, spec)
@@ -260,14 +280,15 @@ class TestNoiseExactness:
         assert child.stdout.strip() == noise_digest(m)
 
     def test_concurrent_callers_leave_no_threads(self):
-        expected = {m: noise_digest(m) for m in (3, 6)}
+        digests = [lambda: noise_digest(3), lambda: noise_digest(6), map_digest]
+        expected = [digest() for digest in digests]
         callers = 4 * max(2, os.cpu_count() or 1)  # more threads than CPUs
         start = threading.Barrier(callers)
         got = [None] * callers
 
         def call(k):
             start.wait()
-            got[k] = noise_digest((3, 6)[k % 2])
+            got[k] = digests[k % 3]()
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -280,7 +301,7 @@ class TestNoiseExactness:
         finally:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
-        assert got == [expected[(3, 6)[k % 2]] for k in range(callers)]
+        assert got == [expected[k % 3] for k in range(callers)]
         assert psdesign_threads() == []
 
     def test_raising_task_waits_for_its_siblings(self):
@@ -295,7 +316,7 @@ class TestNoiseExactness:
                 if i == 0:
                     # on threads, fail while a sibling is still at work; the
                     # plain loop of one CPU never starts task 1
-                    sibling_started.wait(timeout=10 if forward._cpu_count() > 1 else 0)
+                    sibling_started.wait(timeout=10 if core._cpu_count() > 1 else 0)
                     raise RuntimeError("task 0 failed")
                 sibling_started.set()
                 time.sleep(0.2)
@@ -304,7 +325,8 @@ class TestNoiseExactness:
                     running.discard(i)
 
         with pytest.raises(RuntimeError, match="task 0 failed"):
-            forward._for_each(task, 2, forward.PARALLEL_MIN_PIXELS)
+            with core.runner(core.PARALLEL_MIN_PIXELS) as run:
+                run(task, range(2))
         assert running == set()
         assert psdesign_threads() == []
 
