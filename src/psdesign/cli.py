@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
@@ -70,20 +70,16 @@ class ConfigError(PhotometryError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A checked run config with its rig built and one noise level per light."""
+
     scene: SceneSpec
-    lights: dict
-    sigma: float | None
-    sigmas: list | None
+    lights: LightConfig
+    sigmas: np.ndarray
     seed: int
     alpha: float
     outputs: str
     optimizer: OptimizerConfig
     trials: int = 20
-
-    def noise_sigmas(self, m: int) -> np.ndarray:
-        if self.sigmas is not None:
-            return require_sigmas(self.sigmas, m)
-        return require_sigmas(np.full(m, float(self.sigma or 0.0)))
 
 
 # Sub-schemas shared by the run config, the render sidecar and the pipeline report
@@ -207,39 +203,39 @@ def _typed(section: dict, **casts) -> dict:
 
 
 def load_run_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
+    """Read, check and resolve a run config.  The ``seed``, ``sigma`` and ``out`` of
+    ``overrides`` first replace the file's; ``seed`` also replaces ``optimizer.seed``."""
     raw = _load_json(path, _CONFIG_VALIDATOR)
-    scene = raw["scene"]
-    albedo = scene.get("albedo", {})
+    if getattr(overrides, "seed", None) is not None:
+        raw["seed"] = overrides.seed
+        raw.get("optimizer", {}).pop("seed", None)
+    if getattr(overrides, "sigma", None) is not None:
+        raw["noise"] = {"sigma": overrides.sigma}
+    if getattr(overrides, "out", None) is not None:
+        raw["outputs"] = overrides.out
+    albedo = raw["scene"].get("albedo", {})
     if albedo.get("kind") == "checkerboard":  # AlbedoSpec's defaults are a constant's
         albedo = {"value": 0.6, "value2": 0.95, **albedo}
+    scene = SceneSpec(**{
+        **_typed(raw["scene"], width=int, height=int),
+        "albedo": AlbedoSpec(**_typed(albedo, value=float, value2=float, cell=int)),
+    })
     seed = int(raw.get("seed", 0))
     optimizer = OptimizerConfig(**_typed({"seed": seed, **raw.get("optimizer", {})},
                                          max_iters=int, restarts=int, seed=int))
+    lights = resolve_lights(raw.get("lights", {"baseline": "orthogonal-triad"}), seed)
     noise = raw.get("noise", {})
-    cfg = RunConfig(
-        scene=SceneSpec(**{
-            **_typed(scene, width=int, height=int),
-            "albedo": AlbedoSpec(**_typed(albedo, value=float, value2=float, cell=int)),
-        }),
-        lights=raw.get("lights", {"baseline": "orthogonal-triad"}),
-        sigma=noise.get("sigma"),
-        sigmas=noise.get("sigmas"),
+    sigmas = noise.get("sigmas", [noise.get("sigma", 0.0)] * lights.m)
+    return RunConfig(
+        scene=scene,
+        lights=lights,
+        sigmas=require_sigmas(sigmas, lights.m),
         seed=seed,
         alpha=float(raw.get("alpha", 0.05)),
         outputs=raw.get("outputs", "out"),
         optimizer=optimizer,
         trials=int(raw.get("trials", 20)),
     )
-    updates = {}
-    if getattr(overrides, "seed", None) is not None:
-        updates["seed"] = int(overrides.seed)
-        updates["optimizer"] = replace(optimizer, seed=int(overrides.seed))
-    if getattr(overrides, "sigma", None) is not None:
-        updates["sigma"] = float(overrides.sigma)
-        updates["sigmas"] = None
-    if getattr(overrides, "out", None) is not None:
-        updates["outputs"] = str(overrides.out)
-    return replace(cfg, **updates)
 
 
 def resolve_lights(spec: dict, seed: int) -> LightConfig:
@@ -324,19 +320,14 @@ def _write_histogram_csv(path, stats: AngularErrorStats) -> None:
 
 def _observe(cfg: RunConfig, nmap, amap, lights: LightConfig, stage: Stage) -> IntensityStack:
     """Render under ``lights`` and add the run's noise, keyed by ``stage``."""
-    stack = render_stack(nmap, amap, lights)
-    sigmas = cfg.noise_sigmas(lights.m)
-    if np.any(sigmas > 0.0):
-        stack = add_noise(stack, NoiseSpec(sigmas=sigmas, seed=stream_key(cfg.seed, stage, 0)))
-    return stack
+    return add_noise(render_stack(nmap, amap, lights),
+                     NoiseSpec(sigmas=cfg.sigmas, seed=stream_key(cfg.seed, stage, 0)))
 
 
-def cmd_render(cfg: RunConfig) -> int:
+def cmd_render(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _ensure_outdir(cfg.outputs)
     nmap, amap = generate(cfg.scene)
-    lights = resolve_lights(cfg.lights, cfg.seed)
-    sigmas = cfg.noise_sigmas(lights.m)
-    stack = _observe(cfg, nmap, amap, lights, Stage.NOISE)
+    stack = _observe(cfg, nmap, amap, cfg.lights, Stage.NOISE)
     names = []
     for i in range(stack.m):
         name = f"img_{i:03d}.pfm"
@@ -345,8 +336,8 @@ def cmd_render(cfg: RunConfig) -> int:
     export_normal_map(os.path.join(out, "gt_normals.pfm"), nmap)
     pfm.write_pfm(os.path.join(out, "gt_albedo.pfm"), amap.values.astype(np.float32))
     sidecar = {
-        "lights": [list(map(float, row)) for row in lights.rows],
-        "sigmas": [float(s) for s in sigmas],
+        "lights": [list(map(float, row)) for row in cfg.lights.rows],
+        "sigmas": [float(s) for s in cfg.sigmas],
         "seed": cfg.seed,
         "images": names,
         "scene": _scene_json(cfg.scene),
@@ -357,16 +348,11 @@ def cmd_render(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_sidecar(path) -> tuple[LightConfig, np.ndarray, list[str]]:
-    raw = _load_json(path, _SIDECAR_VALIDATOR)
-    lights = LightConfig(rows=np.asarray(raw["lights"], dtype=float))
-    return lights, np.asarray(raw["sigmas"], dtype=float), raw["images"]
-
-
-def cmd_solve(sidecar_path, out_dir, image_paths=None) -> int:
-    lights, sigmas, names = _load_sidecar(sidecar_path)
-    base = os.path.dirname(os.fspath(sidecar_path))
-    paths = image_paths if image_paths else [os.path.join(base, n) for n in names]
+def cmd_solve(args: argparse.Namespace) -> int:
+    sidecar = _load_json(args.sidecar, _SIDECAR_VALIDATOR)
+    lights = LightConfig(rows=np.asarray(sidecar["lights"], dtype=float))
+    base = os.path.dirname(os.fspath(args.sidecar))
+    paths = args.images if args.images else [os.path.join(base, n) for n in sidecar["images"]]
     if len(paths) != lights.m:
         raise DimensionMismatchError(
             f"{len(paths)} images for {lights.m} lights"
@@ -377,31 +363,30 @@ def cmd_solve(sidecar_path, out_dir, image_paths=None) -> int:
         if img.ndim != 2:
             raise FileFormatError(f"{p}: expected a 1-channel intensity image")
         images.append(img.astype(float))
-    stack = IntensityStack(images=freeze(np.stack(images)), sigmas=sigmas)
+    stack = IntensityStack(images=freeze(np.stack(images)), sigmas=sidecar["sigmas"])
     nmap, amap = solve_map(stack, lights)
-    out = _ensure_outdir(out_dir)
+    out = _ensure_outdir(args.out)
     export_normal_map(os.path.join(out, "normals.pfm"), nmap)
     pfm.write_pfm(os.path.join(out, "albedo.pfm"), amap.values.astype(np.float32))
     print(f"solved {nmap.mask.sum()} valid pixels; wrote normals.pfm and albedo.pfm to {out}")
     return EXIT_OK
 
 
-def _estimate_prior(cfg: RunConfig, lights: LightConfig) -> ShapePrior:
-    """Classic-PS pass with the given lights to obtain the shape prior."""
+def _estimate_prior(cfg: RunConfig) -> ShapePrior:
+    """Classic-PS pass with the run's lights to obtain the shape prior."""
     nmap, amap = generate(cfg.scene)
-    stack = _observe(cfg, nmap, amap, lights, Stage.NOISE)
-    return build_shape_prior(solve_map(stack, lights)[0])
+    stack = _observe(cfg, nmap, amap, cfg.lights, Stage.NOISE)
+    return build_shape_prior(solve_map(stack, cfg.lights)[0])
 
 
-def cmd_optimize(cfg: RunConfig, shape_agnostic: bool = False) -> int:
+def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _ensure_outdir(cfg.outputs)
-    initial = resolve_lights(cfg.lights, cfg.seed)
-    prior = ShapePrior.identity() if shape_agnostic else _estimate_prior(cfg, initial)
-    report = optimize_lights(initial, prior, cfg.optimizer)
+    prior = ShapePrior.identity() if args.shape_agnostic else _estimate_prior(cfg)
+    report = optimize_lights(cfg.lights, prior, cfg.optimizer)
     _dump_json(os.path.join(out, "lights_optimized.json"), {
         "rows": [list(map(float, row)) for row in report.final_s.rows],
         "phi": _json_float(report.phi_trajectory[-1]),
-        "prior": "identity" if shape_agnostic else "estimated",
+        "prior": "identity" if args.shape_agnostic else "estimated",
     })
     _dump_json(os.path.join(out, "optimize_report.json"), {
         "initial_rows": [list(map(float, row)) for row in report.initial_s.rows],
@@ -415,13 +400,12 @@ def cmd_optimize(cfg: RunConfig, shape_agnostic: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_baseline(cfg: RunConfig, count: int, shape_agnostic: bool = False) -> int:
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
+def cmd_baseline(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ConfigError(f"count must be >= 1, got {args.count}")
     out = _ensure_outdir(cfg.outputs)
-    lights = resolve_lights(cfg.lights, cfg.seed)
-    prior = ShapePrior.identity() if shape_agnostic else _estimate_prior(cfg, lights)
-    samples = baseline_random(count, lights.m, prior, seed=cfg.seed)
+    prior = ShapePrior.identity() if args.shape_agnostic else _estimate_prior(cfg)
+    samples = baseline_random(args.count, cfg.lights.m, prior, seed=cfg.seed)
     path = os.path.join(out, "baseline_phi.csv")
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
@@ -429,15 +413,14 @@ def cmd_baseline(cfg: RunConfig, count: int, shape_agnostic: bool = False) -> in
         for k, (_, phi) in enumerate(samples):
             writer.writerow([k, repr(phi)])
     best = min(phi for _, phi in samples)
-    print(f"wrote {count} objective samples to {path} (min phi {best:.6g})")
+    print(f"wrote {args.count} objective samples to {path} (min phi {best:.6g})")
     return EXIT_OK
 
 
-def cmd_pipeline(cfg: RunConfig) -> int:
+def cmd_pipeline(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _ensure_outdir(cfg.outputs)
     nmap, amap = generate(cfg.scene)
-    initial = resolve_lights(cfg.lights, cfg.seed)
-    sigma = float(cfg.noise_sigmas(initial.m).max())
+    initial, sigma = cfg.lights, float(cfg.sigmas.max())
 
     est_initial, _ = solve_map(_observe(cfg, nmap, amap, initial, Stage.NOISE), initial)
     prior = build_shape_prior(est_initial)
@@ -498,11 +481,11 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(est_path, gt_path, out_dir) -> int:
-    est = ingest_normal_map(est_path)
-    gt = ingest_normal_map(gt_path)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    est = ingest_normal_map(args.est)
+    gt = ingest_normal_map(args.gt)
     stats = compare_maps(est, gt)
-    out = _ensure_outdir(out_dir)
+    out = _ensure_outdir(args.out)
     _dump_json(os.path.join(out, "error_stats.json"), {
         **_stats_json(stats),
         "histogram_csv": "error_hist.csv",
@@ -525,33 +508,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="psdesign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_opts(p):
-        p.add_argument("--config", required=True, help="run-config JSON path")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--sigma", type=float, default=None, help="override noise level")
-        p.add_argument("--out", default=None, help="override output directory")
+    def command(name, run, help, config=True):
+        """A subcommand run as ``run(args)``, or with a config as ``run(run_config, args)``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if config:
+            p.add_argument("--config", required=True, help="run-config JSON path")
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
+            p.add_argument("--sigma", type=float, default=None, help="override noise level")
+            p.add_argument("--out", default=None, help="override output directory")
+            p.set_defaults(run=lambda args: run(load_run_config(args.config, args), args))
+        return p
 
-    add_config_opts(sub.add_parser("render", help="render one image per light"))
+    command("render", cmd_render, "render one image per light")
 
-    p_solve = sub.add_parser("solve", help="recover normals and albedo from images")
+    p_solve = command("solve", cmd_solve, "recover normals and albedo from images", config=False)
     p_solve.add_argument("--sidecar", required=True, help="render.json from the render step")
     p_solve.add_argument("--images", nargs="*", default=None, help="override image paths")
     p_solve.add_argument("--out", required=True, help="output directory")
 
-    p_opt = sub.add_parser("optimize", help="optimize light directions")
-    add_config_opts(p_opt)
+    p_opt = command("optimize", cmd_optimize, "optimize light directions")
     p_opt.add_argument("--shape-agnostic", action="store_true",
                        help="use the identity prior instead of an estimated one")
 
-    add_config_opts(sub.add_parser("pipeline", help="full render/solve/optimize/compare run"))
+    command("pipeline", cmd_pipeline, "full render/solve/optimize/compare run")
 
-    p_base = sub.add_parser("baseline", help="objective values of random configurations")
-    add_config_opts(p_base)
+    p_base = command("baseline", cmd_baseline, "objective values of random configurations")
     p_base.add_argument("--count", type=int, required=True, help="number of random configs")
     p_base.add_argument("--shape-agnostic", action="store_true",
                         help="use the identity prior instead of an estimated one")
 
-    p_eval = sub.add_parser("evaluate", help="compare two normal maps")
+    p_eval = command("evaluate", cmd_evaluate, "compare two normal maps", config=False)
     p_eval.add_argument("--est", required=True, help="estimated normal map (PFM)")
     p_eval.add_argument("--gt", required=True, help="ground-truth normal map (PFM)")
     p_eval.add_argument("--out", required=True, help="output directory")
@@ -560,23 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "render":
-            return cmd_render(load_run_config(args.config, args))
-        if args.command == "solve":
-            return cmd_solve(args.sidecar, args.out, args.images)
-        if args.command == "optimize":
-            return cmd_optimize(load_run_config(args.config, args), args.shape_agnostic)
-        if args.command == "pipeline":
-            return cmd_pipeline(load_run_config(args.config, args))
-        if args.command == "baseline":
-            return cmd_baseline(load_run_config(args.config, args), args.count,
-                                args.shape_agnostic)
-        if args.command == "evaluate":
-            return cmd_evaluate(args.est, args.gt, args.out)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ConfigError, InvalidSpecError, DimensionMismatchError, NonUnitRowsError,
             ValueError) as exc:
         print(f"psdesign: config error: {exc}", file=sys.stderr)
@@ -591,7 +564,6 @@ def main(argv=None) -> int:
     except (FileFormatError, OSError) as exc:
         print(f"psdesign: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 if __name__ == "__main__":

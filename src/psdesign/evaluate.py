@@ -35,10 +35,10 @@ class AngularErrorStats:
     """Summary statistics of angular errors, in degrees.
 
     ``histogram_counts`` has one entry per bin of ``histogram_edges`` (the
-    sealed HISTOGRAM_EDGES) plus a trailing overflow bin for errors above its
-    last edge.  ``error_map`` holds per-pixel error with NaN off the joint
-    mask for ``compare_maps``, and is None for ``compare_configs`` rows, which
-    pool errors over trials.
+    sealed HISTOGRAM_EDGES, whose last bin is closed) plus a trailing overflow
+    bin for errors above its last edge.  ``error_map`` holds per-pixel error
+    with NaN off the joint mask for ``compare_maps``, and is None for
+    ``compare_configs`` rows, which pool errors over trials.
     """
 
     mean_deg: float
@@ -90,15 +90,13 @@ def _stats_from_samples(samples: np.ndarray, error_map: np.ndarray | None) -> An
     if samples.size == 0:
         raise EmptyMaskError("no valid pixels in common")
     counts = np.histogram(samples, bins=HISTOGRAM_EDGES)[0]
-    overflow = sum(np.count_nonzero(samples[s] >= HISTOGRAM_EDGES[-1])  # no whole-pool mask
-                   for s in pixel_blocks(samples.size))
     return AngularErrorStats(  # arguments run in order: the mean sums before any reordering
         mean_deg=float(samples.mean()),
         median_deg=float(np.median(samples, overwrite_input=True)),
         p90_deg=float(np.percentile(samples, 90.0, overwrite_input=True)),
         max_deg=float(samples.max()),
         histogram_edges=HISTOGRAM_EDGES,
-        histogram_counts=np.append(counts, overflow),
+        histogram_counts=np.append(counts, samples.size - counts.sum()),  # angles are >= 0
         error_map=error_map,
         count=int(samples.size),
     )

@@ -88,8 +88,8 @@ def covariance(lights: LightConfig, sigmas) -> EstimateCovariance:
     """
     sig = require_sigmas(sigmas, lights.m, positive=True)
     whitened = lights.rows / sig[:, None]
-    info = whitened.T @ whitened
-    return EstimateCovariance(matrix=np.linalg.inv(info))
+    cov = np.linalg.inv(whitened.T @ whitened)
+    return EstimateCovariance(matrix=0.5 * (cov + cov.T))  # exact symmetry despite roundoff
 
 
 def chi_square_quantile(prob: float, dof: int = 3) -> float:

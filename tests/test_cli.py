@@ -10,7 +10,10 @@ import pytest
 
 from psdesign import cli
 from psdesign.cli import main, validate_report
+from psdesign.optimize import baseline_heuristic_spread, optimize_lights
 from psdesign.pfm import read_pfm
+
+from conftest import noise_draws
 
 
 def write_config(path, **overrides):
@@ -271,6 +274,88 @@ def test_exit_codes(tmp_path):
     assert exc.value.code == 1
 
 
+def test_per_image_noise_levels(tmp_path):
+    # image i adds sigmas[i] times stream i of the run seed; a level of 0 leaves it clean
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, noise={"sigmas": [0.01, 0.0, 0.02]})
+    out = tmp_path / "r"
+    assert main(["render", "--config", str(cfg_path), "--out", str(out)]) == 0
+    sidecar = json.loads((out / "render.json").read_text())
+    assert sidecar["sigmas"] == [0.01, 0.0, 0.02]
+    draws = noise_draws(7, 3, 120).reshape(3, 10, 12)
+    expected = [0.0 + 0.01 * draws[0], np.zeros((10, 12)), 0.8 + 0.02 * draws[2]]
+    for name, image in zip(sidecar["images"], expected):
+        assert np.array_equal(read_pfm(out / name), image.astype(np.float32)), name
+
+
+def test_sigma_flag_replaces_a_sigmas_list(tmp_path):
+    listed, uniform = tmp_path / "listed.json", tmp_path / "uniform.json"
+    write_config(listed, noise={"sigmas": [0.01, 0.0, 0.02]})
+    write_config(uniform, noise={"sigma": 0.03})
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["render", "--config", str(listed), "--sigma", "0.03", "--out", str(a)]) == 0
+    assert main(["render", "--config", str(uniform), "--out", str(b)]) == 0
+    assert json.loads((a / "render.json").read_text())["sigmas"] == [0.03] * 3
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in os.listdir(a):
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+def test_seed_flag_replaces_the_run_and_optimizer_seeds(tmp_path, monkeypatch):
+    seeds = []
+
+    def recording(initial, prior, config):
+        seeds.append(config.seed)
+        return optimize_lights(initial, prior, config)
+
+    monkeypatch.setattr(cli, "optimize_lights", recording)
+    # without optimizer.seed the optimizer takes the run seed; --seed replaces
+    # both the run seed and an explicit optimizer.seed
+    for optimizer, expected in [({"max_iters": 50}, [7, 11]),
+                                ({"max_iters": 50, "seed": 5}, [5, 11])]:
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, lights={"baseline": "random", "m": 3}, optimizer=optimizer)
+        seeds.clear()
+        for flags in ([], ["--seed", "11"]):
+            assert main(["optimize", "--config", str(cfg_path), "--shape-agnostic", *flags,
+                         "--out", str(tmp_path / "opt")]) == 0
+        assert seeds == expected
+
+    # the random rig and the noise follow the replaced run seed
+    flagged, seeded = tmp_path / "flagged.json", tmp_path / "seeded.json"
+    write_config(flagged, lights={"baseline": "random", "m": 4}, noise={"sigma": 0.02})
+    write_config(seeded, seed=11, lights={"baseline": "random", "m": 4}, noise={"sigma": 0.02})
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["render", "--config", str(flagged), "--seed", "11", "--out", str(a)]) == 0
+    assert main(["render", "--config", str(seeded), "--out", str(b)]) == 0
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in os.listdir(a):
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+def test_heuristic_spread_without_m_has_three_lights(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, lights={"baseline": "heuristic-spread"})
+    out = tmp_path / "r"
+    assert main(["render", "--config", str(cfg_path), "--out", str(out)]) == 0
+    sidecar = json.loads((out / "render.json").read_text())
+    assert np.array_equal(sidecar["lights"], baseline_heuristic_spread(3).rows)
+    assert len(sidecar["images"]) == 3
+
+
+def test_solve_rejects_a_three_channel_image(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out_r = tmp_path / "render"
+    assert main(["render", "--config", str(cfg_path), "--out", str(out_r)]) == 0
+    normals = str(out_r / "gt_normals.pfm")
+    capsys.readouterr()
+    assert main(["solve", "--sidecar", str(out_r / "render.json"),
+                 "--images", normals, normals, normals, "--out", str(tmp_path / "s")]) == 3
+    assert "expected a 1-channel intensity image" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_no_valid_pixels_is_numeric_error(tmp_path, capsys):
     # a valid config, but the first light of seed 7's random rig renders the
     # frontal plane at 0.014, below the 3-sigma shadow threshold of 0.06, so
@@ -357,6 +442,37 @@ def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, command
     err = capsys.readouterr().err
     assert "config error" in err and f"{path}: " in err and offending in err, err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# (config sections, exit code): a rig or noise levels that pass the schema but not their checks
+BAD_RUN = {
+    "wrong-length sigmas": ({"noise": {"sigmas": [0.01, 0.02]}}, 1),
+    "negative sigma": ({"noise": {"sigma": -0.1}}, 2),
+    "rank-deficient rows": ({"lights": {"rows": [[1, 0, 0], [0, 1, 0],
+                                                 [0.7071067811865476, 0.7071067811865476, 0]]}},
+                            2),
+    "non-unit rows": ({"lights": {"rows": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]}}, 1),
+    "random rig with no lights": ({"lights": {"baseline": "random", "m": 0}}, 1),
+}
+
+
+@pytest.mark.parametrize("argv", [["render"], ["optimize", "--shape-agnostic"],
+                                  ["baseline", "--count", "3", "--shape-agnostic"], ["pipeline"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("case", list(BAD_RUN))
+def test_bad_rig_or_noise_fails_at_load(tmp_path, monkeypatch, argv, case):
+    # also for shape-agnostic runs, which never read the noise levels
+    sections, code = BAD_RUN[case]
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **sections)
+
+    def no_work(spec):
+        raise AssertionError("the config was not rejected before the scene was generated")
+
+    monkeypatch.setattr(cli, "generate", no_work)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == code
     assert not out.exists()
 
 

@@ -22,7 +22,7 @@ from psdesign import (
     stream_key,
 )
 from psdesign import core
-from psdesign.evaluate import HISTOGRAM_EDGES
+from psdesign.evaluate import HISTOGRAM_EDGES, _stats_from_samples
 from psdesign.oed import build_shape_prior
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
 
@@ -51,6 +51,14 @@ class TestAngularError:
 def plane_maps(width=12, height=10):
     return generate(SceneSpec(kind="plane", width=width, height=height,
                               albedo=AlbedoSpec(value=0.9)))
+
+
+def test_histogram_counts_each_sample_once():
+    # the last regular bin is closed, so it holds 30 itself
+    stats = _stats_from_samples(np.array([1.0, 30.0, 45.0]), None)
+    assert stats.histogram_counts.sum() == stats.count == 3
+    assert stats.histogram_counts[-2] == 1 and stats.histogram_counts[-1] == 1
+    assert stats.histogram_counts[2] == 1  # [1.0, 1.5)
 
 
 class TestCompareMaps:
@@ -199,7 +207,7 @@ class TestCompareConfigs:
 
     def assert_stats_of(self, row, samples):
         counts = np.append(np.histogram(samples, bins=HISTOGRAM_EDGES)[0],
-                           np.count_nonzero(samples >= HISTOGRAM_EDGES[-1]))
+                           np.count_nonzero(samples > HISTOGRAM_EDGES[-1]))
         assert row.note == "ok"
         assert row.stats.mean_deg == samples.mean()
         assert row.stats.median_deg == np.median(samples)

@@ -30,7 +30,11 @@ from psdesign import (
 )
 from psdesign.core import DegenerateVectorError, EmptyMaskError
 from psdesign.oed import phi_of_rows
-from psdesign.optimize import baseline_orthogonal_triad, random_unit_rows
+from psdesign.optimize import (
+    baseline_orthogonal_triad,
+    random_hemisphere_rows,
+    random_unit_rows,
+)
 from psdesign.solver import PixelEstimate
 
 from conftest import well_conditioned_config
@@ -71,6 +75,15 @@ class TestCovariance:
     def test_rejects_zero_sigma(self):
         with pytest.raises(NonPositiveSigmaError):
             covariance(identity_triad(), [0.0, 0.1, 0.1])
+
+    @pytest.mark.parametrize("sigma", [1.0, 10.0, 100.0])
+    def test_any_noise_scale_gives_an_exactly_symmetric_matrix(self, rng, sigma):
+        # the inverse is symmetric only to roundoff, which grows with sigma^2
+        # past the symmetry check's absolute tolerance
+        for _ in range(200):
+            lights = LightConfig(rows=random_hemisphere_rows(3, rng))
+            matrix = covariance(lights, [sigma] * 3).matrix
+            assert np.array_equal(matrix, matrix.T)
 
 
 # ---------------------------------------------------------------------------
