@@ -56,7 +56,7 @@ from .scenes import (
     generate,
     ingest_normal_map,
 )
-from .solver import solve_map
+from .solver import _inverse, solve_map
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -202,9 +202,11 @@ def _typed(section: dict, **casts) -> dict:
     return {k: casts[k](v) if k in casts else v for k, v in section.items()}
 
 
-def load_run_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
+def load_run_config(path, overrides: argparse.Namespace | None = None, solve=True) -> RunConfig:
     """Read, check and resolve a run config.  The ``seed``, ``sigma`` and ``out`` of
-    ``overrides`` first replace the file's; ``seed`` also replaces ``optimizer.seed``."""
+    ``overrides`` first replace the file's; ``seed`` also replaces ``optimizer.seed``.
+    With ``solve``, noise levels that the solver cannot whiten fail too; render
+    alone may write them."""
     raw = _load_json(path, _CONFIG_VALIDATOR)
     if getattr(overrides, "seed", None) is not None:
         raw["seed"] = overrides.seed
@@ -225,11 +227,13 @@ def load_run_config(path, overrides: argparse.Namespace | None = None) -> RunCon
                                          max_iters=int, restarts=int, seed=int))
     lights = resolve_lights(raw.get("lights", {"baseline": "orthogonal-triad"}), seed)
     noise = raw.get("noise", {})
-    sigmas = noise.get("sigmas", [noise.get("sigma", 0.0)] * lights.m)
+    sigmas = require_sigmas(noise.get("sigmas", [noise.get("sigma", 0.0)] * lights.m), lights.m)
+    if solve:  # the solver's own rule, which rejects mixed zero and positive levels
+        _inverse(lights, sigmas)
     return RunConfig(
         scene=scene,
         lights=lights,
-        sigmas=require_sigmas(sigmas, lights.m),
+        sigmas=sigmas,
         seed=seed,
         alpha=float(raw.get("alpha", 0.05)),
         outputs=raw.get("outputs", "out"),
@@ -508,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="psdesign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help, config=True):
+    def command(name, run, help, config=True, solve=True):
         """A subcommand run as ``run(args)``, or with a config as ``run(run_config, args)``."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
@@ -517,10 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None, help="override config seed")
             p.add_argument("--sigma", type=float, default=None, help="override noise level")
             p.add_argument("--out", default=None, help="override output directory")
-            p.set_defaults(run=lambda args: run(load_run_config(args.config, args), args))
+            p.set_defaults(run=lambda args: run(load_run_config(args.config, args, solve), args))
         return p
 
-    command("render", cmd_render, "render one image per light")
+    command("render", cmd_render, "render one image per light", solve=False)
 
     p_solve = command("solve", cmd_solve, "recover normals and albedo from images", config=False)
     p_solve.add_argument("--sidecar", required=True, help="render.json from the render step")

@@ -2,7 +2,10 @@
 
 Angular errors are pooled per pixel per trial (not per-trial means), so
 medians and quantiles are meaningful.  Histograms use the fixed 0.5-degree
-bins of HISTOGRAM_EDGES on [0, 30] with a final overflow bin.
+bins of HISTOGRAM_EDGES on [0, 30] with a final overflow bin.  One pass over
+``pixel_blocks`` writes each block's errors and counts their bins; one
+partition of the samples then selects the median, p90 and maximum, the bits
+that np.median and np.percentile(., 90) give.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .core import (
 # add_noise and solve_map are not called here, but perfbench's traced run patches them here
 from .forward import NoiseSpec, Stage, _fill_noise, add_noise, render_stack, stream_key  # noqa: F401
 from .oed import ShapePrior, build_shape_prior, phi_shape_aware
-from .solver import _solve_columns, solve_map  # noqa: F401
+from .solver import _finish_columns, _inverse, _lit, _product, solve_map  # noqa: F401
 
 HISTOGRAM_EDGES = freeze(np.arange(0.0, 30.25, 0.5))
 
@@ -65,40 +68,65 @@ def _angle_deg(a, b, out=None):
     return np.degrees(np.arctan2(np.sqrt(cross_sq), ax * bx + ay * by + az * bz), out=out)
 
 
-def _joint_errors(est_xyz, gt_xyz, joint, out) -> int:
-    """Write the angular errors at the ``joint`` pixels into ``out`` in
-    row-major pixel order, each block at the count of those before it, and
-    return how many there are.  The normals come as (3, P) unit columns and
-    ``joint`` as a (P,) mask."""
+def _score(est_xyz, gt_xyz, joint, out, starts=None, unit=False) -> tuple[int, np.ndarray]:
+    """Write the angular errors at the ``joint`` pixels of (3, P) columns into
+    ``out`` in row-major order; return their count and ``_bin_counts``.  Block
+    b writes at ``starts[b]`` (default: its first pixel), then the blocks are
+    compacted.  With ``unit``, ``_finish_columns`` finishes n_tilde estimates."""
     blocks = pixel_blocks(joint.size)
+    starts = [s.start for s in blocks] if starts is None else starts
 
-    def write(block) -> None:
+    def score(block) -> tuple[int, np.ndarray]:
         s, start = block
         idx = np.flatnonzero(joint[s])
-        # row by row: take along axis 1 would first copy the strided (3, B) block
-        _angle_deg([row[s].take(idx) for row in est_xyz], [row[s].take(idx) for row in gt_xyz],
-                   out=out[start:start + idx.size])
+        est, ok = np.empty((3, idx.size)), np.ones(idx.size, dtype=bool)
+        for row, e in zip(est_xyz, est):  # take along axis 1 would first copy the strided block
+            row[s].take(idx, out=e)
+        if unit:
+            _finish_columns(est, np.empty(idx.size), ok, unit=True)
+        samples = out[start:start + idx.size]
+        _angle_deg(est, [row[s].take(idx) for row in gt_xyz], out=samples)
+        if not ok.all():  # np.compress buffers its output, so it may overlap the input
+            samples = np.compress(ok, samples, out=samples[:np.count_nonzero(ok)])
+        return samples.size, _bin_counts(samples)
 
     with runner(joint.size) as run:
-        starts = np.cumsum([0] + run(np.count_nonzero, [joint[s] for s in blocks]))
-        run(write, zip(blocks, starts))
-    return int(starts[-1])
+        scored = run(score, zip(blocks, starts))
+    count = 0
+    for start, (n, _) in zip(starts, scored):  # numpy skips a copy onto itself
+        out[count:count + n] = out[start:start + n]
+        count += n
+    return count, np.sum([bins for _, bins in scored], axis=0)
 
 
-def _stats_from_samples(samples: np.ndarray, error_map: np.ndarray | None) -> AngularErrorStats:
-    """Statistics of ``samples``, which the median and p90 reorder in place."""
-    if samples.size == 0:
-        raise EmptyMaskError("no valid pixels in common")
+def _bin_counts(samples: np.ndarray) -> np.ndarray:
+    """Counts in the bins of HISTOGRAM_EDGES, then the overflow (angles are >= 0)."""
     counts = np.histogram(samples, bins=HISTOGRAM_EDGES)[0]
-    return AngularErrorStats(  # arguments run in order: the mean sums before any reordering
-        mean_deg=float(samples.mean()),
-        median_deg=float(np.median(samples, overwrite_input=True)),
-        p90_deg=float(np.percentile(samples, 90.0, overwrite_input=True)),
-        max_deg=float(samples.max()),
+    return np.append(counts, samples.size - counts.sum())
+
+
+def _stats_from_samples(samples: np.ndarray, error_map: np.ndarray | None,
+                        counts: np.ndarray | None = None) -> AngularErrorStats:
+    """Statistics of ``samples`` and their ``_bin_counts``.  One partition, in
+    place, selects np.median's middle pair and the neighbours of the linear
+    index (n - 1) * 0.9, which numpy's two-sided lerp interpolates for p90."""
+    n = samples.size
+    if n == 0:
+        raise EmptyMaskError("no valid pixels in common")
+    mean, counts = float(samples.mean()), _bin_counts(samples) if counts is None else counts
+    rank = (n - 1) * 0.9
+    lo, hi, t = int(rank), min(int(rank) + 1, n - 1), rank - int(rank)
+    samples.partition(sorted({(n - 1) // 2, n // 2, lo, hi, n - 1}))
+    a, b = samples[lo], samples[hi]
+    return AngularErrorStats(
+        mean_deg=mean,
+        median_deg=float((samples[(n - 1) // 2] + samples[n // 2]) / 2.0),
+        p90_deg=float(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t),
+        max_deg=float(samples[n - 1]),
         histogram_edges=HISTOGRAM_EDGES,
-        histogram_counts=np.append(counts, samples.size - counts.sum()),  # angles are >= 0
+        histogram_counts=counts,
         error_map=error_map,
-        count=int(samples.size),
+        count=int(n),
     )
 
 
@@ -115,11 +143,12 @@ def compare_maps(est: NormalMap, gt: NormalMap) -> AngularErrorStats:
     joint = (est.mask & gt.mask).reshape(-1)
     # room for every pixel: pages never written are never committed
     samples = np.empty(joint.size)
-    samples = samples[:_joint_errors(est.normals.reshape(-1, 3).T, gt.normals.reshape(-1, 3).T,
-                                     joint, samples)]
+    count, counts = _score(est.normals.reshape(-1, 3).T, gt.normals.reshape(-1, 3).T, joint,
+                           samples)
+    samples = samples[:count]
     errors = np.full(joint.size, np.nan)
     errors[joint] = samples
-    return _stats_from_samples(samples, errors.reshape(gt.mask.shape))
+    return _stats_from_samples(samples, errors.reshape(gt.mask.shape), counts)
 
 
 @dataclass(frozen=True)
@@ -147,13 +176,14 @@ def compare_configs(
     Trial k draws sigma-scaled noise once, for max(m) images: image i from
     ``substream(stream_key(seed, Stage.COMPARE, k), i)``.  Each config adds
     its first m images to its clean stack (common random numbers), so a row
-    does not depend on the configs beside it, and solves and scores it on the
-    solver's (3, P) arrays.  One noise buffer and one noisy buffer serve every
-    trial and config; every config's clean stack lives for the whole call.
-    One runner (see ``core.runner``) serves the whole call, so its threads
-    start once; the blocks of the renders, solves and angular errors, the
-    noise fill, the noisy add and each config's statistics are its tasks.
-    Samples are pooled across trials, so the stats carry no error map; a
+    does not depend on the configs beside it.  One block pass adds the noise
+    and marks the pixels lit in every image (the solver's tau test) and valid
+    in the ground truth; a trial with none stops there.  Otherwise the solver's
+    whole-frame product gives n_tilde, and a second block pass tests,
+    normalises and scores the lit pixels only.  The buffers are allocated once
+    per call, and one runner (see ``core.runner``) serves the whole call.
+    Samples are pooled across trials, and one partition of each row's pool
+    selects its median, p90 and maximum.  The stats carry no error map; a
     config that leaves no pixel valid in any trial gets note="no-valid-pixels"
     and no stats.  Each row also records phi under the scene's prior.
     """
@@ -167,23 +197,33 @@ def compare_configs(
     with runner(gt_mask.size) as run:
         cleans = [render_stack(gt_normals, albedo, c).images.reshape(c.m, -1)
                   for c in configs.values()]
+        inverses = [_inverse(c, np.full(c.m, float(sigma))) for c in configs.values()]
         noise = np.empty((max((len(clean) for clean in cleans), default=0), gt_mask.size))
         noisy = np.empty_like(noise)
+        n_tilde, lit = np.empty((3, gt_mask.size)), np.empty(gt_mask.size, dtype=bool)
         # a config pools at most this many errors; pages never written are never
         # committed, so no per-trial piece is kept and no concatenated copy made
         pooled = [np.empty(trials * int(np.count_nonzero(gt_mask))) for _ in cleans]
-        counts = [0] * len(cleans)
+        counts, bins = [0] * len(cleans), [0] * len(cleans)
         for k in range(trials):
             spec = NoiseSpec.uniform(sigma, len(noise), seed=stream_key(seed, Stage.COMPARE, k))
             _fill_noise(noise, spec)
-            for c, (lights, clean) in enumerate(zip(configs.values(), cleans)):
-                flat = noisy[:lights.m]
-                run(lambda s: np.add(clean[:, s], noise[:lights.m, s], out=flat[:, s]), blocks)
-                normals, _, valid = _solve_columns(flat, lights, spec.sigmas[:lights.m], unit=True)
-                valid &= gt_mask
-                counts[c] += _joint_errors(normals, gt_xyz, valid, pooled[c][counts[c]:])
-        # no samples: e.g. a light below the horizon shadows the whole scene
-        stats = run(lambda c: _stats_from_samples(pooled[c][:counts[c]], None)
+            for c, (clean, (pinv, tau)) in enumerate(zip(cleans, inverses)):
+                flat = noisy[:len(clean)]
+
+                def observe(s: slice) -> int:  # run calls it before the loop moves on
+                    np.add(clean[:, s], noise[:len(clean), s], out=flat[:, s])
+                    return np.count_nonzero(np.logical_and(_lit(flat[:, s], tau, out=lit[s]),
+                                                           gt_mask[s], out=lit[s]))
+
+                lit_counts = run(observe, blocks)
+                if not any(lit_counts):  # e.g. a light below the horizon shadows every pixel
+                    continue
+                _product(pinv, flat, out=n_tilde)
+                n, hist = _score(n_tilde, gt_xyz, lit, pooled[c][counts[c]:],
+                                 np.cumsum([0, *lit_counts[:-1]]), unit=True)
+                counts[c], bins[c] = counts[c] + n, bins[c] + hist
+        stats = run(lambda c: _stats_from_samples(pooled[c][:counts[c]], None, bins[c])
                     if counts[c] else None, range(len(counts)))
     return [ConfigComparison(name=name, lights=lights, phi=phi_shape_aware(lights, prior),
                              stats=row, note="ok" if row is not None else "no-valid-pixels")

@@ -3,14 +3,17 @@
 The per-pixel model is linear, I = rho * S n = S n_tilde, with one S for every
 pixel, so a single (3, m) matrix solves them all: the whitened pseudo-inverse
 (S^T W S)^-1 S^T W, W = diag(1/sigma_i^2), formed once per call from the SVD of
-W^1/2 S.  It is applied to the (m, P) stack as one whole-frame matrix product,
-straight into the (3, P) output; the norms, the shadow, degeneracy and facing
-tests and the normalisation then run over the frame in ``pixel_blocks``, on
-every CPU (see ``core.runner``).  The product is neither blocked nor split
-between threads because BLAS picks its kernel by shape: a one-column block
-goes through gemv, and from 16 lights on the last columns of a product round
-differently with its width, so narrower products would not reproduce the
-bytes of a whole-frame one.  Singular values at or below max(m, 3) * eps of
+W^1/2 S (``_inverse``).  It is applied to the (m, P) stack as one whole-frame
+matrix product (``_product``), straight into the (3, P) output; the shadow test
+(``_lit``, one minimum over the images), the norms, the degeneracy and facing
+tests and the normalisation (``_finish_columns``) then run over the frame in
+``pixel_blocks``, on every CPU (see ``core.runner``).  ``compare_configs`` runs
+the same helpers: the shadow test while it adds each trial's noise, the product
+only when a pixel is lit, and the other tests at lit pixels only.  The product
+is neither blocked nor split between threads because BLAS picks its kernel by
+shape: a one-column block goes through gemv, and from 16 lights on the last
+columns of a product round differently with its width, so narrower products
+would not reproduce the bytes of a whole-frame one.  Singular values at or below max(m, 3) * eps of
 the largest are cut, as in lstsq(rcond=None).
 LightConfig keeps cond(S) below 1e9, so the cut never fires on a valid config,
 and the explicit pseudo-inverse has forward error O(cond(S) * eps), the order
@@ -57,53 +60,54 @@ class PixelEstimate:
     valid: bool
 
 
-def _noise_terms(lights: LightConfig, sigmas) -> tuple[np.ndarray, float]:
-    """Row weights 1/sigma_i (ones when every sigma is equal) and the shadow tau.
-
-    Equal sigmas (including all-zero, the noiseless case) reduce to the
-    unweighted solve; mixed zero/positive sigmas have no consistent weighting
-    and are rejected.
-    """
+def _inverse(lights: LightConfig, sigmas) -> tuple[np.ndarray, float]:
+    """The whitened (3, m) pseudo-inverse and the shadow tau.  The row weights
+    1/sigma_i (ones when every sigma is equal, the noiseless all-zero case too)
+    sit in its columns, so the stack itself is never scaled; mixed zero and
+    positive sigmas have no consistent weighting and are rejected."""
     sig = require_sigmas(sigmas, lights.m)
-    tau = max(3.0 * float(sig.max()), MIN_SHADOW_TAU)
-    if np.ptp(sig) == 0.0:
-        return np.ones(lights.m), tau
-    if np.any(sig == 0.0):
-        raise NonPositiveSigmaError(
-            "cannot whiten with mixed zero and positive noise levels"
-        )
-    return 1.0 / sig, tau
+    if np.ptp(sig) != 0.0 and np.any(sig == 0.0):
+        raise NonPositiveSigmaError("cannot whiten with mixed zero and positive noise levels")
+    w = np.ones(lights.m) if np.ptp(sig) == 0.0 else 1.0 / sig
+    design = lights.rows * w[:, None]
+    pinv = np.linalg.pinv(design, rcond=max(design.shape) * np.finfo(float).eps) * w
+    return pinv, max(3.0 * float(sig.max()), MIN_SHADOW_TAU)
+
+
+def _product(pinv: np.ndarray, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """n_tilde = pinv @ flat, one whole-frame product (see the module docstring)."""
+    return np.matmul(pinv, flat, out=out)
+
+
+def _lit(block: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
+    """Whether every image of the (m, B) ``block`` reaches tau (NaN fails): one reduction."""
+    return np.greater_equal(block.min(axis=0), tau, out=out)
+
+
+def _finish_columns(cols: np.ndarray, norm: np.ndarray, valid: np.ndarray, unit: bool) -> None:
+    """Norms of the (3, B) n_tilde ``cols`` into ``norm``; ``valid`` cleared where
+    |n_tilde| <= 1e-9, and with ``unit`` where z <= 0 (facing away from the
+    camera), when the columns also become unit normals, the camera axis where
+    invalid."""
+    np.sqrt(np.einsum("cp,cp->p", cols, cols, out=norm), out=norm)
+    valid &= norm > DEGENERATE_NORM
+    if unit:
+        valid &= cols[2] > 0.0
+        cols /= np.where(valid, norm, 1.0)
+        np.copyto(cols, CAMERA_AXIS[:, None], where=~valid)
 
 
 def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas, unit: bool = False):
     """The one per-pixel kernel: n_tilde as (3, P) for an (m, P) stack, its
-    norms, and which pixels are neither shadowed nor degenerate
-    (|n_tilde| <= 1e-9).  The weights sit in the columns of the pseudo-inverse,
-    so the stack itself is never scaled.
-
-    With ``unit``, a pixel that faces away from the camera (z <= 0) is invalid
-    too, and the columns become unit normals, the camera axis at invalid
-    pixels.  All three arrays are fresh, so callers may seal them.
-    """
-    w, tau = _noise_terms(lights, sigmas)
-    design = lights.rows * w[:, None]
-    pinv = np.linalg.pinv(design, rcond=max(design.shape) * np.finfo(float).eps) * w
-    n_tilde = pinv @ flat
+    norms, and which pixels are ``_lit`` and pass ``_finish_columns`` (with
+    ``unit`` as given).  All three arrays are fresh, so callers may seal them."""
+    pinv, tau = _inverse(lights, sigmas)
+    n_tilde = _product(pinv, flat)
     norms, ok = np.empty(flat.shape[1]), np.empty(flat.shape[1], dtype=bool)
 
-    def finish(s: slice) -> None:
-        cols, norm, valid = n_tilde[:, s], norms[s], ok[s]
-        np.sqrt(np.einsum("cp,cp->p", cols, cols, out=norm), out=norm)
-        np.greater(norm, DEGENERATE_NORM, out=valid)
-        for row in flat[:, s]:
-            valid &= row >= tau
-        if unit:
-            valid &= cols[2] > 0.0
-            cols /= np.where(valid, norm, 1.0)
-            np.copyto(cols, CAMERA_AXIS[:, None], where=~valid)
-
     with runner(len(norms)) as run:
-        run(finish, pixel_blocks(len(norms)))
+        run(lambda s: _finish_columns(n_tilde[:, s], norms[s], _lit(flat[:, s], tau, out=ok[s]),
+                                      unit), pixel_blocks(len(norms)))
     return n_tilde, norms, ok
 
 

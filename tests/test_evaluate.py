@@ -2,6 +2,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psdesign import (
     AlbedoMap,
@@ -21,7 +22,7 @@ from psdesign import (
     solve_map,
     stream_key,
 )
-from psdesign import core
+from psdesign import core, evaluate, solver
 from psdesign.evaluate import HISTOGRAM_EDGES, _stats_from_samples
 from psdesign.oed import build_shape_prior
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
@@ -59,6 +60,27 @@ def test_histogram_counts_each_sample_once():
     assert stats.histogram_counts.sum() == stats.count == 3
     assert stats.histogram_counts[-2] == 1 and stats.histogram_counts[-1] == 1
     assert stats.histogram_counts[2] == 1  # [1.0, 1.5)
+
+
+# bin edges, their neighbours and values past the last edge; drawing from a
+# short list also gives ties
+EDGE_VALUES = [0.0, np.nextafter(0.0, 1.0), 0.5, np.nextafter(0.5, 0.0), 15.0, 29.5,
+               np.nextafter(30.0, 0.0), 30.0, np.nextafter(30.0, 31.0), 30.5, 45.0, 180.0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(EDGE_VALUES) | st.floats(0.0, 180.0), min_size=1, max_size=300))
+def test_one_selection_gives_numpys_statistics(values):
+    # one partition for the median, p90 and max gives numpy's bits
+    samples = np.array(values)
+    reference = [samples.mean(), np.median(samples), np.percentile(samples, 90.0), samples.max()]
+    stats = _stats_from_samples(samples.copy(), None)
+    found = [stats.mean_deg, stats.median_deg, stats.p90_deg, stats.max_deg]
+    assert [np.float64(x).tobytes() for x in found] == [x.tobytes() for x in reference]
+    counts = np.append(np.histogram(samples, bins=HISTOGRAM_EDGES)[0],
+                       np.count_nonzero(samples > HISTOGRAM_EDGES[-1]))
+    assert np.array_equal(stats.histogram_counts, counts)
+    assert stats.count == samples.size
 
 
 class TestCompareMaps:
@@ -186,6 +208,25 @@ class TestCompareConfigs:
         assert table[0].note == "no-valid-pixels"
         assert table[0].stats is None
 
+    def test_dark_trials_run_no_product(self, monkeypatch):
+        # no pixel of the dark rig is lit in any trial, so its trials stop
+        # before the solve product; the ring's trials reach it
+        nmap, amap = self.scene()
+        dark = LightConfig(rows=np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        ring = self.configs()["ring"]
+        products = []
+
+        def spy(pinv, flat, out=None):
+            products.append(len(flat))
+            return solver._product(pinv, flat, out=out)
+
+        monkeypatch.setattr(evaluate, "_product", spy)
+        table = compare_configs(nmap, amap, {"dark": dark, "ring": ring}, sigma=0.01, trials=2,
+                                seed=5)
+        assert [row.note for row in table] == ["no-valid-pixels", "ok"]
+        assert table[0].stats is None
+        assert products == [ring.m] * 2
+
     def configs(self):
         azimuths = np.radians([0.0, 90.0, 180.0, 270.0])
         slant = np.radians(30.0)
@@ -226,6 +267,30 @@ class TestCompareConfigs:
         keys = [stream_key(seed, Stage.COMPARE, k) for k in range(trials)]
         for row, lights in zip(table, configs.values()):
             self.assert_stats_of(row, self.map_path_samples(lights, sigma, keys))
+
+    def test_lit_pixels_that_fail_the_solve_are_dropped(self, monkeypatch):
+        # a plane 85 degrees from the camera axis, under a cone of lights about
+        # its normal: every pixel is lit, and the noise turns some estimates
+        # away from the camera; blocks of 7 pixels compact around those
+        nmap, amap = generate(SceneSpec(kind="plane", width=12, height=10, params={"p": 12.0},
+                                        albedo=AlbedoSpec(value=0.9)))
+        n, side = nmap.normals[0, 0], np.array([0.0, 1.0, 0.0])
+        cone = np.array([np.cos(0.35) * n + np.sin(0.35) * (np.cos(a) * side + np.sin(a)
+                                                            * np.cross(n, side))
+                         for a in np.arange(4) * np.pi / 2])
+        lights = LightConfig(rows=cone / np.linalg.norm(cone, axis=1, keepdims=True))
+        sigma, trials, seed = 0.02, 3, 11
+        clean, pooled = render_stack(nmap, amap, lights), []
+        for k in range(trials):
+            noise = NoiseSpec.uniform(sigma, lights.m, seed=stream_key(seed, Stage.COMPARE, k))
+            est, _ = solve_map(add_noise(clean, noise), lights)
+            pooled.append(compare_maps(est, nmap).error_map[est.mask])
+        samples = np.concatenate(pooled)
+        assert 0 < samples.size < trials * nmap.mask.size
+        monkeypatch.setattr(core, "BLOCK_PIXELS", 7)
+        [row] = compare_configs(nmap, amap, {"cone": lights}, sigma=sigma, trials=trials,
+                                seed=seed)
+        self.assert_stats_of(row, samples)
 
     def test_first_config_keeps_its_draws(self):
         # before trials shared their noise, the k-th (config, trial) pair, over
