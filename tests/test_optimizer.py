@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from psdesign import (
     DimensionMismatchError,
@@ -27,6 +28,8 @@ from psdesign.core import rank_ratio
 from psdesign.optimize import (
     HEURISTIC_RANK_FLOOR,
     OPTIMALITY_RTOL,
+    STEP_SIZE,
+    _bb_step,
     min_pairwise_angle_deg,
     random_hemisphere_rows,
     random_unit_rows,
@@ -122,6 +125,68 @@ class TestOptimizeLights:
         assert a.phi_trajectory == b.phi_trajectory
 
 
+class TestBarzilaiBorweinStep:
+    def test_no_previous_move(self):
+        assert _bb_step(None, None) == STEP_SIZE
+
+    @pytest.mark.parametrize("y", [[-1.0, 0.0, 0.5], [0.0, 3.0, 0.0]],
+                             ids=["negative curvature", "zero curvature"])
+    def test_curvature_not_positive(self, y):
+        s = np.array([[2.0, 0.0, 1.0]])
+        assert _bb_step(s, np.array([y])) == STEP_SIZE
+
+    def test_overflowing_ratio(self):
+        # <s, y> is a positive subnormal, so <s, s>/<s, y> is inf
+        s = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        y = np.array([[1e-320, 0.0, 0.0], [0.0, 5.0, 0.0]])
+        assert _bb_step(s, y) == STEP_SIZE
+
+    @pytest.mark.parametrize("s, y, expected", [
+        ([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 5.0 / 3.0),
+        ([[0.5, -0.5, 0.0], [0.0, 0.0, 0.25]], [[4.0, 0.0, 0.0], [0.0, 1.0, 8.0]], 0.5625 / 4.0),
+        ([[2.0**-30, 0.0, 0.0]], [[1.0, 1e6, -3.0]], 2.0**-30),
+    ])
+    def test_two_point_ratio(self, s, y, expected):
+        s, y = np.array(s), np.array(y)
+        assert _bb_step(s, y) == expected
+        assert _bb_step(s, y) == np.vdot(s, s) / np.vdot(s, y)
+
+
+def spd_of_trace_two(smallest: float, split: float, seed: int) -> np.ndarray:
+    """Randomly rotated symmetric M with eigenvalues smallest, split and 1 - split
+    of the remaining trace."""
+    rest = 2.0 - smallest
+    q = np.linalg.qr(substream(seed, 0).normal(size=(3, 3)))[0]
+    m_agg = q @ np.diag([smallest, split * rest, (1.0 - split) * rest]) @ q.T
+    return 0.5 * (m_agg + m_agg.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(5e-4, 2e-3) | st.floats(0.05, 1.0),
+    st.floats(0.05, 0.95),
+    st.integers(3, 16),
+    st.integers(0, 2**32 - 1),
+)
+# two descents that stopped at phi <= phi* (1 + OPTIMALITY_RTOL) as floats,
+# with gaps 1.6e-4 and 5.1e-5 relative above OPTIMALITY_RTOL phi*
+@example(0.5933343534119816, 0.592250031152369, 10, 3027857205)
+@example(0.0015558851018525309, 0.0977896884171712, 14, 1597772437)
+def test_descent_contract_holds_under_two_point_steps(smallest, split, m, seed):
+    prior = ShapePrior(m_agg=spd_of_trace_two(smallest, split, seed), pixel_count=1)
+    start = LightConfig(rows=random_unit_rows(m, substream(seed, 1)))
+    report = optimize_lights(start, prior, OptimizerConfig())
+    traj = report.phi_trajectory
+    assert all(b <= a for a, b in zip(traj, traj[1:]))
+    rows = report.final_s.rows
+    assert np.abs(np.einsum("ij,ij->i", rows, rows) - 1.0).max() <= 1e-12
+    if report.converged:
+        assert report.optimality_gap <= OPTIMALITY_RTOL * phi_lower_bound(prior.m_agg, m)
+    grad = phi_gradient(report.final_s, prior)
+    tangent = grad - np.einsum("ij,ij->i", grad, rows)[:, None] * rows
+    assert report.gradient_norm_final == pytest.approx(np.linalg.norm(tangent), rel=1e-9)
+
+
 def estimated_prior(kind: str) -> ShapePrior:
     """Prior of a noisy 32x32 estimate, as the pipeline builds it: a plane's
     estimate is not exactly flat, so its M is positive definite."""
@@ -188,6 +253,18 @@ class TestOptimalityCertificate:
         assert report.iterations_used == 5
         assert not report.converged
         assert report.gradient_norm_final == pytest.approx(np.linalg.norm(tangent), rel=1e-9)
+
+    def test_random_three_light_starts_certify_on_a_sphere_prior(self):
+        # the 64^2 ground-truth sphere prior, whose m = 3 descents converge
+        # slowly at a fixed first trial step: none of these 20 certified
+        # within the default max_iters
+        prior = build_shape_prior(generate(SceneSpec(kind="sphere", width=64, height=64))[0])
+        bound = phi_lower_bound(prior.m_agg, 3)
+        for i in range(20):
+            start = LightConfig(rows=random_unit_rows(3, substream(115, i)))
+            report = optimize_lights(start, prior, OptimizerConfig())
+            assert report.converged, i
+            assert report.optimality_gap <= OPTIMALITY_RTOL * bound, i
 
     def test_singular_prior_never_certifies(self, restart_starts):
         # a true plane: M = diag(0, 1, 1) is singular and phi* is not attained
