@@ -13,15 +13,16 @@ retraction onto unit rows as in Wen & Yin, Math. Prog. 2013).
 The infimum phi* = (tr M^1/2)^2 / m over unit rows is known in closed form
 (``oed.phi_lower_bound``), so it is the stopping certificate: a descent stops,
 converged, once phi - phi* <= OPTIMALITY_RTOL phi*, and the restarts left after
-a certified result are skipped.  When phi* is not attained (M singular, as for
-a true plane) the gradient tolerance GRAD_TOL and max_iters still end each
-descent.
+a certified result are skipped.  Short of it (phi* is not attained when M is
+singular, as for a true plane) a descent ends at a tangent-gradient norm below
+GRAD_TOL, after max_iters iterations or with no Armijo decrease down to
+MIN_STEP, and raises RankCollapseError if every candidate step is rank deficient.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,11 +78,11 @@ class OptimizerConfig:
 class OptimizationReport:
     initial_s: LightConfig
     final_s: LightConfig
-    phi_trajectory: list[float] = field(default_factory=list)
-    iterations_used: int = 0
-    converged: bool = False
-    gradient_norm_final: float = float("inf")
-    optimality_gap: float = float("inf")  # phi_final - phi*, >= 0
+    phi_trajectory: list[float]
+    iterations_used: int
+    converged: bool
+    gradient_norm_final: float
+    optimality_gap: float  # phi_final - phi*, >= 0
 
 
 def phi_gradient(lights: LightConfig, prior: ShapePrior) -> np.ndarray:
@@ -152,11 +153,12 @@ def _bb_step(s: np.ndarray | None, y: np.ndarray | None) -> float:
 
 
 def _descend(
-    rows: np.ndarray, m_agg: np.ndarray, cfg: OptimizerConfig, bound: float
-) -> tuple[np.ndarray, list[float], int, bool, float]:
+    initial: LightConfig, start: np.ndarray, m_agg: np.ndarray, cfg: OptimizerConfig, bound: float
+) -> OptimizationReport:
+    """One projected descent from the rows ``start``, reported against ``initial``."""
+    rows = start
     phi = float(phi_of_rows(rows, m_agg))
     trajectory = [phi]
-    iterations = 0
     before = None  # rows and tangent gradient before the last accepted move
     while True:
         # tested at every iterate, the last one too, so that converged and
@@ -165,12 +167,11 @@ def _descend(
         grad_norm = float(np.linalg.norm(tangent))
         # the gap as the report computes it: certified means gap <= OPTIMALITY_RTOL phi*
         converged = phi - bound <= OPTIMALITY_RTOL * bound or grad_norm < GRAD_TOL
-        if converged or iterations == cfg.max_iters:
+        if converged or len(trajectory) > cfg.max_iters:
             break
         s, y = (None, None) if before is None else (rows - before[0], tangent - before[1])
         step = _bb_step(s, y)
         before = (rows, tangent)
-        accepted = False
         saw_full_rank = False
         while step >= MIN_STEP:
             candidate = _renormalize_rows(rows - step * tangent)
@@ -182,17 +183,26 @@ def _descend(
             if candidate_phi <= phi - ARMIJO_DECREASE * step * grad_norm**2:
                 rows, phi = candidate, candidate_phi
                 trajectory.append(phi)
-                accepted = True
                 break
             step *= ARMIJO_SHRINK
-        if not accepted:
+        else:
             if not saw_full_rank:
                 raise RankCollapseError(
                     "every candidate step led to a rank-deficient configuration"
                 )
             break  # no acceptable decrease at machine precision; stationary
-        iterations += 1
-    return rows, trajectory, iterations, converged, grad_norm
+    # The objective only sees rows through their outer products, so it is
+    # exactly invariant to per-row sign flips; report the camera-facing
+    # representative (z >= 0), which is the one an imaging rig can use.
+    return OptimizationReport(
+        initial_s=initial,
+        final_s=LightConfig(rows=np.where(rows[:, 2:3] < 0.0, -rows, rows)),
+        phi_trajectory=trajectory,
+        iterations_used=len(trajectory) - 1,
+        converged=converged,
+        gradient_norm_final=grad_norm,
+        optimality_gap=max(phi - bound, 0.0),  # below 0 is roundoff: phi* bounds phi
+    )
 
 
 def optimize_lights(
@@ -212,35 +222,15 @@ def optimize_lights(
     could improve on it by more than phi* * OPTIMALITY_RTOL.
     """
     bound = phi_lower_bound(prior.m_agg, initial.m)
-    starts = stream_key(cfg.seed, Stage.RESTART, 0)
-    best = None
-    for restart in range(cfg.restarts):
-        if restart == 0:
-            start = np.array(initial.rows)
-        else:
-            start = random_unit_rows(initial.m, substream(starts, restart))
-        rows, trajectory, iterations, converged, grad_norm = _descend(
-            start, prior.m_agg, cfg, bound
-        )
-        result = (trajectory[-1], rows, trajectory, iterations, converged, grad_norm)
-        if best is None or result[0] < best[0] - 1e-12:
-            best = result
-        if best[0] - bound <= OPTIMALITY_RTOL * bound:
+    best = _descend(initial, initial.rows, prior.m_agg, cfg, bound)
+    for restart in range(1, cfg.restarts):
+        if best.optimality_gap <= OPTIMALITY_RTOL * bound:
             break
-    phi, rows, trajectory, iterations, converged, grad_norm = best
-    # The objective only sees rows through their outer products, so it is
-    # exactly invariant to per-row sign flips; report the camera-facing
-    # representative (z >= 0), which is the one an imaging rig can use.
-    rows = np.where(rows[:, 2:3] < 0.0, -rows, rows)
-    return OptimizationReport(
-        initial_s=initial,
-        final_s=LightConfig(rows=rows),
-        phi_trajectory=trajectory,
-        iterations_used=iterations,
-        converged=converged,
-        gradient_norm_final=grad_norm,
-        optimality_gap=max(phi - bound, 0.0),  # below 0 is roundoff: phi* bounds phi
-    )
+        rng = substream(stream_key(cfg.seed, Stage.RESTART, 0), restart)
+        report = _descend(initial, random_unit_rows(initial.m, rng), prior.m_agg, cfg, bound)
+        if report.phi_trajectory[-1] < best.phi_trajectory[-1] - 1e-12:
+            best = report
+    return best
 
 
 def baseline_random(

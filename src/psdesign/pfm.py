@@ -16,14 +16,17 @@ from .core import FileFormatError
 
 
 def _read_token(f) -> bytes:
-    """Next whitespace-delimited token of the header."""
+    """Next whitespace-delimited token of the header; consumes the byte that
+    ends it, or both bytes of a CR LF line end."""
     token = b""
     while True:
         ch = f.read(1)
         if ch == b"":
-            raise FileFormatError("unexpected end of file in PFM header")
+            raise FileFormatError(f"{f.name}: unexpected end of file in PFM header")
         if ch in b" \t\r\n":
             if token:
+                if ch == b"\r" and f.peek(1)[:1] == b"\n":
+                    f.read(1)
                 return token
             continue
         token += ch
@@ -47,8 +50,8 @@ def read_pfm(path) -> np.ndarray:
             raise FileFormatError(f"{path}: malformed PFM header") from exc
         if width <= 0 or height <= 0:
             raise FileFormatError(f"{path}: bad dimensions {width}x{height}")
-        if scale == 0.0:
-            raise FileFormatError(f"{path}: zero scale")
+        if scale == 0.0 or not np.isfinite(scale):
+            raise FileFormatError(f"{path}: scale must be finite and nonzero, got {scale}")
         count = width * height * channels
         raw = f.read(4 * count)
         if len(raw) != 4 * count:

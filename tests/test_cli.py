@@ -232,6 +232,16 @@ def test_unknown_optimizer_setting_is_usage_error(tmp_path, key):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("key", ["max_iters", "restarts"])
+def test_zero_optimizer_count_is_config_error(tmp_path, capsys, key):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, optimizer={key: 0})
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"{key} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
 def test_bad_noise_level_is_numeric_error(tmp_path, sigma):
     cfg_path = tmp_path / "cfg.json"

@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 
 from psdesign import (
     AlbedoMap,
+    AlbedoSpec,
+    AlphaOutOfRangeError,
     DegenerateVectorError,
     DimensionMismatchError,
     IntensityStack,
@@ -12,12 +14,19 @@ from psdesign import (
     NonPositiveSigmaError,
     NonUnitRowsError,
     NormalMap,
+    OptimizerConfig,
+    SceneSpec,
     SingularLightMatrixError,
+    chi_square_quantile,
+    compare_configs,
     covariance,
+    export_normal_map,
+    generate,
     normalize,
+    solve_exact,
     solve_lsq,
 )
-from psdesign.core import freeze, require_spd, InvalidSpecError
+from psdesign.core import freeze, require_sigmas, require_spd, InvalidSpecError
 
 
 class TestNormalize:
@@ -241,3 +250,50 @@ def test_require_spd():
     lopsided[0, 1] = 1e-6
     with pytest.raises(InvalidSpecError):
         require_spd(lopsided)
+
+
+def _plane(width=3, height=2):
+    return generate(SceneSpec(kind="plane", width=width, height=height))
+
+
+def _from_file_of_another_size(tmp_path):
+    path = tmp_path / "plane.pfm"
+    export_normal_map(path, _plane()[0])
+    generate(SceneSpec(kind="from_file", width=2, height=3, params={"path": str(path)}))
+
+
+TRIAD = LightConfig(rows=np.eye(3))
+
+# (call on a tmp_path, typed error) for outside input that each check rejects
+BAD_INPUT = {
+    "zero comparison trials": (
+        lambda _: compare_configs(*_plane(), {"triad": TRIAD}, 0.01, trials=0, seed=1),
+        ValueError),
+    "zero max_iters": (lambda _: OptimizerConfig(max_iters=0), ValueError),
+    "zero restarts": (lambda _: OptimizerConfig(restarts=0), ValueError),
+    "chi-square quantile of 1": (lambda _: chi_square_quantile(1.0), AlphaOutOfRangeError),
+    "unknown albedo kind": (lambda _: AlbedoSpec(kind="stripes"), InvalidSpecError),
+    "checkerboard cell 0": (lambda _: AlbedoSpec(kind="checkerboard", cell=0), InvalidSpecError),
+    "from_file of another size": (_from_file_of_another_size, InvalidSpecError),
+    "solve_exact of 2 intensities": (lambda _: solve_exact([1.0, 2.0], TRIAD),
+                                     DimensionMismatchError),
+    "solve_lsq of 4 intensities": (lambda _: solve_lsq(np.ones(4), TRIAD, np.ones(3)),
+                                   DimensionMismatchError),
+    "(m, 2) light rows": (lambda _: LightConfig(rows=np.eye(3)[:, :2]), DimensionMismatchError),
+    "non-finite light rows": (lambda _: LightConfig(rows=np.diag([1.0, 1.0, np.nan])),
+                              InvalidSpecError),
+    "2-D normals": (lambda _: NormalMap(normals=np.ones((2, 3)), mask=np.ones((2, 3), bool)),
+                    DimensionMismatchError),
+    "3-D albedo": (lambda _: AlbedoMap(values=np.ones((2, 2, 1))), DimensionMismatchError),
+    "2-D images": (lambda _: IntensityStack(images=np.ones((3, 4)), sigmas=np.zeros(3)),
+                   DimensionMismatchError),
+    "2-D sigmas": (lambda _: require_sigmas(np.ones((3, 1))), DimensionMismatchError),
+    "normalize a 2-vector": (lambda _: normalize([1.0, 2.0]), DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_outside_input_raises_a_typed_error(tmp_path, case):
+    call, error = BAD_INPUT[case]
+    with pytest.raises(error):
+        call(tmp_path)

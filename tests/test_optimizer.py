@@ -7,6 +7,7 @@ from psdesign import (
     LightConfig,
     NoiseSpec,
     OptimizerConfig,
+    RankCollapseError,
     ShapePrior,
     SingularLightMatrixError,
     add_noise,
@@ -275,6 +276,34 @@ class TestOptimalityCertificate:
         assert restart_starts == [4, 4]
         assert report.optimality_gap > OPTIMALITY_RTOL * phi_lower_bound(prior.m_agg, 4)
         assert not report.converged
+
+
+class TestDescentExits:
+    """The two exits of a line search that finds no step: every candidate
+    rank deficient, and no Armijo decrease down to MIN_STEP."""
+
+    def test_every_candidate_rank_deficient_raises(self):
+        # a triad 3e-9 off the plane z = 0: every step lands on a rank-deficient rig
+        azimuth = np.radians([0.0, 120.0, 240.0])
+        rows = np.stack([np.cos(azimuth), np.sin(azimuth), [3e-9, -3e-9, 3e-9]], axis=1)
+        start = LightConfig(rows=rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        with pytest.raises(RankCollapseError):
+            optimize_lights(start, ShapePrior.identity(), OptimizerConfig())
+
+    def test_no_armijo_decrease_stops_unconverged(self):
+        # the nearly coplanar spread: phi ~ 5e13 and a tangent gradient norm ~ 7e20,
+        # so the Armijo test asks for more than phi at every step down to MIN_STEP
+        prior = ShapePrior.identity()
+        report = optimize_lights(baseline_heuristic_spread(3), prior, OptimizerConfig())
+        traj = report.phi_trajectory
+        assert not report.converged
+        assert report.iterations_used == len(traj) - 1
+        assert all(b <= a for a, b in zip(traj, traj[1:]))
+        grad = phi_gradient(report.final_s, prior)
+        rows = report.final_s.rows
+        tangent = grad - np.einsum("ij,ij->i", grad, rows)[:, None] * rows
+        assert report.gradient_norm_final == pytest.approx(np.linalg.norm(tangent), rel=1e-9)
+        assert report.optimality_gap == traj[-1] - phi_lower_bound(prior.m_agg, 3)
 
 
 class TestBaselineRandom:

@@ -1,10 +1,12 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from psdesign import FileFormatError
-from psdesign.pfm import mask_path, read_pfm, write_pfm
+from psdesign.cli import main
+from psdesign.pfm import mask_path, read_normal_map_arrays, read_pfm, write_normal_map, write_pfm
 
 
 def test_single_channel_round_trip_bit_exact(tmp_path):
@@ -95,3 +97,49 @@ def test_write_rejects_bad_shapes(tmp_path):
 
 def test_mask_path():
     assert mask_path("out/normals.pfm") == "out/normals.mask.pfm"
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_crlf_header_round_trip(tmp_path, channels):
+    # the byte after "-1.0\r" is the "\n" of the line end, not the first float
+    img = np.arange(1, 7, dtype=np.float32).reshape((2, 3) if channels == 1 else (1, 2, 3))
+    path = tmp_path / "crlf.pfm"
+    write_pfm(path, img)
+    raw = path.read_bytes()
+    header_end = len(raw) - img.nbytes
+    path.write_bytes(raw[:header_end].replace(b"\n", b"\r\n") + raw[header_end:])
+    assert read_pfm(path).tobytes() == img.tobytes()
+
+
+def _normal_map_file(tmp_path, name, header=b"PF\n2 2\n-1.0\n", mask_shape=(2, 2)):
+    """A 2x2 map of camera-facing normals whose file starts with ``header``, and
+    a mask sidecar of ``mask_shape``."""
+    path = tmp_path / f"{name}.pfm"
+    normals = np.zeros((2, 2, 3), dtype=np.float32)
+    normals[..., 2] = 1.0
+    write_normal_map(path, normals, np.ones(mask_shape, dtype=np.float32))
+    path.write_bytes(header + normals.astype("<f4").tobytes())
+    return path
+
+
+# (header of the normal map, shape of its mask sidecar)
+BAD_NORMAL_MAPS = {
+    "end of file in the header": (b"PF\n2", (2, 2)),
+    "zero width": (b"PF\n0 2\n-1.0\n", (2, 2)),
+    "negative height": (b"PF\n2 -2\n-1.0\n", (2, 2)),
+    "nan scale": (b"PF\n2 2\nnan\n", (2, 2)),
+    "inf scale": (b"PF\n2 2\n-inf\n", (2, 2)),
+    "mask of another shape": (b"PF\n2 2\n-1.0\n", (2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_NORMAL_MAPS))
+def test_bad_normal_map_is_io_error(tmp_path, capsys, case):
+    header, mask_shape = BAD_NORMAL_MAPS[case]
+    bad = _normal_map_file(tmp_path, "bad", header, mask_shape)
+    with pytest.raises(FileFormatError, match=re.escape(str(bad))):
+        read_normal_map_arrays(bad)
+    good = _normal_map_file(tmp_path, "good")
+    argv = ["evaluate", "--est", str(bad), "--gt", str(good), "--out", str(tmp_path / "e")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("psdesign: I/O error: ")
