@@ -144,12 +144,42 @@ def b_matrix(n_tilde) -> np.ndarray:
 def phi_of_rows(rows: np.ndarray, m_agg: np.ndarray) -> np.ndarray:
     """trace(M (S^T S)^-1) of every (m, 3) rig in a (..., m, 3) stack.
 
-    The one implementation of the objective.  Full rank is the caller's to
-    ensure: LightConfig checks it on construction, the descent per candidate,
-    and baseline_random relies on Gaussian draws being full rank almost surely.
+    The one implementation of the objective, without LAPACK: each Gram
+    G = S^T S is factored as L L^T elementwise over the stack, and with
+    W = L^-1, phi = sum_k w_k M w_k^T over the rows w_k of W (M symmetric; its
+    upper triangle is read).  Cholesky is backward stable (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10), and a relative change dG of G
+    moves phi by at most kappa(G) |dG| / |G| relative for any positive
+    semidefinite M, so phi is within a small multiple of kappa(G) eps of its
+    exact value.  A rig scores the same bits alone as in any stack.  A rig
+    whose Gram has a pivot that is not positive and finite scores +inf,
+    without a warning.  LightConfig checks full rank on construction, the
+    descent per candidate, and baseline_random relies on Gaussian draws being
+    full rank almost surely.
     """
-    gram = np.swapaxes(rows, -1, -2) @ rows
-    return np.trace(m_agg @ np.linalg.inv(gram), axis1=-2, axis2=-1)
+    m00, m01, m02, _, m11, m12, _, _, m22 = m_agg.ravel().tolist()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # g[j, i] is entry (i, j) of every Gram over the stack, with the stack
+        # axes reversed (the last .T restores them); numpy scalars, not 0-d
+        # arrays, when rows is one rig
+        g = (np.swapaxes(rows, -1, -2) @ rows).T
+        p0 = g[0, 0]
+        l00 = np.sqrt(p0)
+        l10, l20 = g[0, 1] / l00, g[0, 2] / l00
+        p1 = g[1, 1] - l10 * l10
+        l11 = np.sqrt(p1)
+        l21 = (g[1, 2] - l20 * l10) / l11
+        p2 = g[2, 2] - l20 * l20 - l21 * l21
+        w00, w11, w22 = 1.0 / l00, 1.0 / l11, 1.0 / np.sqrt(p2)
+        w10 = -l10 * w00 * w11
+        w21 = -l21 * w11 * w22
+        w20 = -(l20 * w00 + l21 * w10) * w22
+        phi = (w00 * w00 * m00 + w10 * (w10 * m00 + 2.0 * w11 * m01) + w11 * w11 * m11
+               + w20 * (w20 * m00 + 2.0 * (w21 * m01 + w22 * m02))
+               + w21 * (w21 * m11 + 2.0 * w22 * m12) + w22 * w22 * m22)
+        # every pivot positive and finite (a sum of finite values is finite)
+        ok = (0.0 < p0) & (0.0 < p1) & (0.0 < p2) & np.isfinite(p0 + p1 + p2)
+    return np.where(ok, phi, np.inf).T
 
 
 def phi_shape_agnostic(lights: LightConfig) -> float:

@@ -180,7 +180,9 @@ def _descend(
                 continue
             saw_full_rank = True
             candidate_phi = float(phi_of_rows(candidate, m_agg))
-            if candidate_phi <= phi - ARMIJO_DECREASE * step * grad_norm**2:
+            # strictly lower too: the Armijo margin rounds away once it is below
+            # half an ulp of phi, and a step that keeps phi is no progress
+            if candidate_phi < phi and candidate_phi <= phi - ARMIJO_DECREASE * step * grad_norm**2:
                 rows, phi = candidate, candidate_phi
                 trajectory.append(phi)
                 break
@@ -212,14 +214,14 @@ def optimize_lights(
 
     Each line search starts from the Barzilai-Borwein step of the previous
     accepted move (STEP_SIZE on a descent's first iteration) and backtracks
-    until the Armijo test passes.  Restart 0 starts from ``initial``; restart
-    r >= 1 from uniformly random unit rows drawn from stream r of the RESTART
-    key of ``cfg.seed``.  Each descent stops, converged, once
-    phi - phi* <= OPTIMALITY_RTOL phi* or its tangent gradient norm falls below
-    GRAD_TOL.  The lowest final objective wins; ties within 1e-12 keep the
-    earliest restart, and once the best result is certified within
-    OPTIMALITY_RTOL of phi* the remaining restarts are not run, since none
-    could improve on it by more than phi* * OPTIMALITY_RTOL.
+    until a candidate passes the Armijo test and lowers phi strictly.  Restart
+    0 starts from ``initial``; restart r >= 1 from uniformly random unit rows
+    drawn from stream r of the RESTART key of ``cfg.seed``.  Each descent
+    stops, converged, once phi - phi* <= OPTIMALITY_RTOL phi* or its tangent
+    gradient norm falls below GRAD_TOL.  The lowest final objective wins; ties
+    within 1e-12 keep the earliest restart, and once the best result is
+    certified within OPTIMALITY_RTOL of phi* the remaining restarts are not
+    run, since none could improve on it by more than phi* * OPTIMALITY_RTOL.
     """
     bound = phi_lower_bound(prior.m_agg, initial.m)
     best = _descend(initial, initial.rows, prior.m_agg, cfg, bound)
@@ -250,7 +252,8 @@ def baseline_random(
     if m < 3:
         raise DimensionMismatchError(f"need at least 3 lights, got {m}")
     rows = substream(stream_key(seed, Stage.BASELINE, 0), 0).normal(size=(count, m, 3))
-    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+    x, y, z = rows.T  # component views; the same sum as np.linalg.norm's, so the same bits
+    rows /= np.sqrt(x * x + y * y + z * z).T[..., None]
     return list(zip(freeze(rows), phi_of_rows(rows, prior.m_agg).tolist()))
 
 
