@@ -30,7 +30,6 @@ from .core import (
     LightConfig,
     NonPositiveSigmaError,
     NonUnitRowsError,
-    PhotometryError,
     RankCollapseError,
     SingularLightMatrixError,
     freeze,
@@ -62,10 +61,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
-
-
-class ConfigError(PhotometryError):
-    """A run-configuration file is malformed or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -185,15 +180,15 @@ def validate_report(report: dict) -> None:
 
 
 def _load_json(path, validator: jsonschema.Draft7Validator) -> dict:
-    """Read a JSON file; bad JSON or a schema violation is a ConfigError naming the JSON path."""
+    """Read a JSON file; bad JSON, or a schema violation at a JSON path, is an InvalidSpecError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        raise InvalidSpecError(f"{path}: invalid JSON ({exc})") from exc
     error = jsonschema.exceptions.best_match(validator.iter_errors(raw))
     if error is not None:
-        raise ConfigError(f"{path}: {error.json_path}: {error.message}")
+        raise InvalidSpecError(f"{path}: {error.json_path}: {error.message}")
     return raw
 
 
@@ -302,7 +297,7 @@ def _stats_json(stats: AngularErrorStats | None) -> dict:
 def _optimization_json(report: OptimizationReport, prior: ShapePrior) -> dict:
     """The fields optimize_report.json and report.json's optimization share."""
     return {
-        "phi_trajectory": [float(p) for p in report.phi_trajectory],
+        "phi_trajectory": report.phi_trajectory,
         "iterations_used": report.iterations_used,
         "converged": report.converged,
         "gradient_norm_final": _json_float(report.gradient_norm_final),
@@ -340,8 +335,8 @@ def cmd_render(cfg: RunConfig, args: argparse.Namespace) -> int:
     export_normal_map(os.path.join(out, "gt_normals.pfm"), nmap)
     pfm.write_pfm(os.path.join(out, "gt_albedo.pfm"), amap.values.astype(np.float32))
     sidecar = {
-        "lights": [list(map(float, row)) for row in cfg.lights.rows],
-        "sigmas": [float(s) for s in cfg.sigmas],
+        "lights": cfg.lights.rows.tolist(),
+        "sigmas": cfg.sigmas.tolist(),
         "seed": cfg.seed,
         "images": names,
         "scene": _scene_json(cfg.scene),
@@ -388,13 +383,13 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     prior = ShapePrior.identity() if args.shape_agnostic else _estimate_prior(cfg)
     report = optimize_lights(cfg.lights, prior, cfg.optimizer)
     _dump_json(os.path.join(out, "lights_optimized.json"), {
-        "rows": [list(map(float, row)) for row in report.final_s.rows],
+        "rows": report.final_s.rows.tolist(),
         "phi": _json_float(report.phi_trajectory[-1]),
         "prior": "identity" if args.shape_agnostic else "estimated",
     })
     _dump_json(os.path.join(out, "optimize_report.json"), {
-        "initial_rows": [list(map(float, row)) for row in report.initial_s.rows],
-        "final_rows": [list(map(float, row)) for row in report.final_s.rows],
+        "initial_rows": report.initial_s.rows.tolist(),
+        "final_rows": report.final_s.rows.tolist(),
         **_optimization_json(report, prior),
     })
     print(
@@ -406,7 +401,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_baseline(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.count < 1:
-        raise ConfigError(f"count must be >= 1, got {args.count}")
+        raise InvalidSpecError(f"count must be >= 1, got {args.count}")
     out = _ensure_outdir(cfg.outputs)
     prior = ShapePrior.identity() if args.shape_agnostic else _estimate_prior(cfg)
     samples = baseline_random(args.count, cfg.lights.m, prior, seed=cfg.seed)
@@ -461,8 +456,8 @@ def cmd_pipeline(cfg: RunConfig, args: argparse.Namespace) -> int:
         "sigma": sigma,
         "trials": cfg.trials,
         "scene": _scene_json(cfg.scene),
-        "initial_lights": [list(map(float, row)) for row in initial.rows],
-        "optimized_lights": [list(map(float, row)) for row in optimized.rows],
+        "initial_lights": initial.rows.tolist(),
+        "optimized_lights": optimized.rows.tolist(),
         "optimization": {
             "phi_initial": _json_float(opt.phi_trajectory[0]),
             "phi_final": _json_float(opt.phi_trajectory[-1]),
@@ -554,8 +549,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ConfigError, InvalidSpecError, DimensionMismatchError, NonUnitRowsError,
-            ValueError) as exc:
+    except (InvalidSpecError, DimensionMismatchError, NonUnitRowsError, ValueError) as exc:
         print(f"psdesign: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EmptyMaskError as exc:  # a valid config whose data leaves nothing to work on

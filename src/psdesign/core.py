@@ -100,6 +100,10 @@ def freeze(a: np.ndarray) -> np.ndarray:
     return a.view()
 
 
+# The view direction, which camera-facing normal maps hold at invalid pixels
+CAMERA_AXIS = freeze(np.array([0.0, 0.0, 1.0]))
+
+
 def _sealed(a: np.ndarray, dtype=float) -> bool:
     """Whether ``a`` is a read-only view of read-only memory, of ``dtype``."""
     return (a.dtype == dtype and not a.flags.writeable

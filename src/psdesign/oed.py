@@ -24,7 +24,7 @@ from .core import (
     require_sigmas,
     require_spd,
 )
-from .solver import PixelEstimate
+from .solver import DEGENERATE_NORM, PixelEstimate
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def b_matrix(n_tilde) -> np.ndarray:
     """
     v = np.asarray(n_tilde, dtype=float)
     norm = float(np.linalg.norm(v))
-    if norm <= 1e-9:
+    if norm <= DEGENERATE_NORM:
         raise DegenerateVectorError(f"cannot differentiate normalization at norm {norm:.3e}")
     n = v / norm
     return (np.eye(3) - np.outer(n, n)) / norm

@@ -106,20 +106,21 @@ def _tangent_gradient(rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _renormalize_rows(rows: np.ndarray) -> np.ndarray:
-    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+    """Divide each row of a fresh (..., 3) stack by its norm, in place, and
+    return the stack.  The squares are summed in np.linalg.norm's order, so
+    the norm has its bits; working in place allocates no second stack."""
+    x, y, z = rows.T  # component views
+    rows /= np.sqrt(x * x + y * y + z * z).T[..., None]
+    return rows
 
 
 def random_unit_rows(m: int, rng: np.random.Generator) -> np.ndarray:
-    """m directions i.i.d. uniform on the unit sphere, resampled if coplanar.
-    m < 3 raises DimensionMismatchError before any draw."""
+    """m directions i.i.d. uniform on the unit sphere (normalized Gaussian draws),
+    drawn again if coplanar.  m < 3 raises DimensionMismatchError before any draw."""
     if m < 3:
         raise DimensionMismatchError(f"need at least 3 lights, got {m}")
     while True:
-        rows = rng.normal(size=(m, 3))
-        norms = np.linalg.norm(rows, axis=1)
-        if np.any(norms < 1e-12):
-            continue
-        rows /= norms[:, None]
+        rows = _renormalize_rows(rng.normal(size=(m, 3)))
         if rank_ratio(rows) > RANK_RTOL:
             return rows
 
@@ -251,9 +252,8 @@ def baseline_random(
         raise ValueError("count must be >= 1")
     if m < 3:
         raise DimensionMismatchError(f"need at least 3 lights, got {m}")
-    rows = substream(stream_key(seed, Stage.BASELINE, 0), 0).normal(size=(count, m, 3))
-    x, y, z = rows.T  # component views; the same sum as np.linalg.norm's, so the same bits
-    rows /= np.sqrt(x * x + y * y + z * z).T[..., None]
+    rows = _renormalize_rows(
+        substream(stream_key(seed, Stage.BASELINE, 0), 0).normal(size=(count, m, 3)))
     return list(zip(freeze(rows), phi_of_rows(rows, prior.m_agg).tolist()))
 
 

@@ -14,6 +14,10 @@ import numpy as np
 
 from .core import FileFormatError
 
+# Longest header token read: a decimal width, height or scale is far shorter,
+# and the cap stops a non-PFM file from being scanned to its end.
+MAX_TOKEN_BYTES = 64
+
 
 def _read_token(f) -> bytes:
     """Next whitespace-delimited token of the header; consumes the byte that
@@ -29,6 +33,8 @@ def _read_token(f) -> bytes:
                     f.read(1)
                 return token
             continue
+        if len(token) == MAX_TOKEN_BYTES:
+            raise FileFormatError(f"{f.name}: PFM header token longer than {MAX_TOKEN_BYTES} bytes")
         token += ch
 
 
@@ -52,9 +58,10 @@ def read_pfm(path) -> np.ndarray:
             raise FileFormatError(f"{path}: bad dimensions {width}x{height}")
         if scale == 0.0 or not np.isfinite(scale):
             raise FileFormatError(f"{path}: scale must be finite and nonzero, got {scale}")
-        count = width * height * channels
-        raw = f.read(4 * count)
-        if len(raw) != 4 * count:
+        size = 4 * width * height * channels
+        # checked before reading, so that huge dimensions ask for no huge read
+        raw = f.read(size) if size <= os.fstat(f.fileno()).st_size - f.tell() else b""
+        if len(raw) != size:
             raise FileFormatError(f"{path}: truncated pixel data")
     dtype = "<f4" if scale < 0.0 else ">f4"
     data = np.frombuffer(raw, dtype=dtype).astype(np.float32)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import pfm
 from .core import (
+    CAMERA_AXIS,
     AlbedoMap,
     EmptyMaskError,
     InvalidSpecError,
@@ -26,7 +27,6 @@ from .core import (
 
 SCENE_KINDS = ("sphere", "paraboloid", "plane", "from_file")
 INGEST_NORM_FLOOR = 1e-12
-CAMERA_AXIS = ((0.0,), (0.0,), (1.0,))  # a (3, 1) column, for the (3, n) pixels it fills
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def generate(spec: SceneSpec) -> tuple[NormalMap, AlbedoMap]:
         a = float(spec.params.get("curvature", 0.5))
         # f = -a (x^2 + y^2)  =>  p = -2 a x, q = -2 a y
         normals = _normals_from_gradient(-2.0 * a * x, -2.0 * a * y)
-    elif spec.kind == "sphere":
+    else:  # sphere, the one kind left that SceneSpec admits
         radius = float(spec.params.get("radius", 0.9))
         if not 0.0 < radius <= 1.0:
             raise InvalidSpecError(f"sphere radius fraction must be in (0, 1], got {radius}")
@@ -130,9 +130,7 @@ def generate(spec: SceneSpec) -> tuple[NormalMap, AlbedoMap]:
         mask = rho2 < 1.0
         nz = np.sqrt(np.clip(1.0 - rho2, 0.0, None))
         normals = np.stack([u, v, nz])
-        normals[:, ~mask] = CAMERA_AXIS
-    else:  # pragma: no cover - guarded by SceneSpec
-        raise InvalidSpecError(spec.kind)
+        normals[:, ~mask] = CAMERA_AXIS[:, None]
 
     return _normal_map(normals, mask), AlbedoMap(values=spec.albedo.render(spec.height, spec.width))
 
@@ -154,7 +152,7 @@ def ingest_normal_map(path) -> NormalMap:
         mask &= file_mask
     vectors /= np.where(mask, norms, 1.0)
     mask &= vectors[2] > 0.0
-    vectors[:, ~mask] = CAMERA_AXIS
+    vectors[:, ~mask] = CAMERA_AXIS[:, None]
     if not mask.any():
         raise EmptyMaskError(f"{path}: no valid camera-facing normals")
     return _normal_map(vectors, mask)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CAMERA_AXIS,
     AlbedoMap,
     DimensionMismatchError,
     IntensityStack,
@@ -44,7 +45,6 @@ from .core import (
 
 DEGENERATE_NORM = 1e-9
 MIN_SHADOW_TAU = 1e-6
-CAMERA_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -111,24 +111,15 @@ def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas, unit: bool = F
     return n_tilde, norms, ok
 
 
-def _solve_pixel(intensities: np.ndarray, lights: LightConfig, sigmas) -> PixelEstimate:
-    n_tilde, norms, ok = _solve_columns(intensities[:, None], lights, sigmas)
-    n_tilde, norm, valid = n_tilde[:, 0], float(norms[0]), bool(ok[0])
-    return PixelEstimate(n_tilde=n_tilde, albedo=norm,
-                         normal=n_tilde / norm if valid else CAMERA_AXIS.copy(), valid=valid)
-
-
 def solve_exact(intensities, lights: LightConfig) -> PixelEstimate:
     """Invert the square 3-light system: n_tilde = S^-1 I.
 
-    Requires exactly three lights; rank is already guaranteed by LightConfig.
+    Requires exactly three lights (LightConfig guarantees the rank); S^-1 is
+    then the pseudo-inverse, so this is ``solve_lsq`` without weights.
     """
-    i = np.asarray(intensities, dtype=float)
     if lights.m != 3:
         raise DimensionMismatchError(f"solve_exact needs exactly 3 lights, got {lights.m}")
-    if i.shape != (3,):
-        raise DimensionMismatchError(f"expected 3 intensities, got shape {i.shape}")
-    return _solve_pixel(i, lights, np.zeros(3))
+    return solve_lsq(intensities, lights, np.zeros(3))
 
 
 def solve_lsq(intensities, lights: LightConfig, sigmas) -> PixelEstimate:
@@ -142,7 +133,10 @@ def solve_lsq(intensities, lights: LightConfig, sigmas) -> PixelEstimate:
     i = np.asarray(intensities, dtype=float)
     if i.shape != (lights.m,):
         raise DimensionMismatchError(f"expected {lights.m} intensities, got shape {i.shape}")
-    return _solve_pixel(i, lights, sigmas)
+    n_tilde, norms, ok = _solve_columns(i[:, None], lights, sigmas)
+    n_tilde, norm, valid = n_tilde[:, 0], float(norms[0]), bool(ok[0])
+    return PixelEstimate(n_tilde=n_tilde, albedo=norm,
+                         normal=n_tilde / norm if valid else CAMERA_AXIS.copy(), valid=valid)
 
 
 def solve_map(stack: IntensityStack, lights: LightConfig) -> tuple[NormalMap, AlbedoMap]:

@@ -85,6 +85,14 @@ def test_render_then_solve_round_trip(tmp_path):
     assert angles[joint].max() < 1e-5  # float32 storage bounds the round trip
     # shadowed pixels (outside the sphere, or dark in some image) are masked
     assert (~est_mask).sum() > 0
+    # naming the sidecar's own images writes the same bytes
+    own = [str(out_r / name) for name in json.loads((out_r / "render.json").read_text())["images"]]
+    named = tmp_path / "named"
+    assert main(["solve", "--sidecar", str(out_r / "render.json"), "--images", *own,
+                 "--out", str(named)]) == 0
+    assert sorted(os.listdir(named)) == sorted(os.listdir(out_s))
+    for name in os.listdir(out_s):
+        assert filecmp.cmp(out_s / name, named / name, shallow=False), name
 
 
 def test_solve_mismatched_image_count(tmp_path):
@@ -93,6 +101,9 @@ def test_solve_mismatched_image_count(tmp_path):
     out_r = tmp_path / "render"
     assert main(["render", "--config", str(cfg_path), "--out", str(out_r)]) == 0
     sidecar = json.loads((out_r / "render.json").read_text())
+    two = [str(out_r / name) for name in sidecar["images"][:2]]
+    assert main(["solve", "--sidecar", str(out_r / "render.json"), "--images", *two,
+                 "--out", str(tmp_path / "s")]) == 1
     sidecar["images"] = sidecar["images"][:2]
     (out_r / "render.json").write_text(json.dumps(sidecar))
     code = main(["solve", "--sidecar", str(out_r / "render.json"),

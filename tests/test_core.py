@@ -1,3 +1,6 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +29,7 @@ from psdesign import (
     solve_exact,
     solve_lsq,
 )
+from psdesign import core
 from psdesign.core import freeze, require_sigmas, require_spd, InvalidSpecError
 
 
@@ -89,6 +93,10 @@ class TestLightConfig:
                          [np.sqrt(0.5), np.sqrt(0.5), 0.0]])
         with pytest.raises(SingularLightMatrixError):
             LightConfig(rows=rows)
+        # all-zero rows have no largest singular value to divide by: ratio 0, no warning
+        with warnings.catch_warnings(), pytest.raises(SingularLightMatrixError):
+            warnings.simplefilter("error")
+            LightConfig(rows=np.zeros((3, 3)))
 
     def test_rejects_non_unit_in_default_mode(self):
         with pytest.raises(NonUnitRowsError):
@@ -297,3 +305,10 @@ def test_outside_input_raises_a_typed_error(tmp_path, case):
     call, error = BAD_INPUT[case]
     with pytest.raises(error):
         call(tmp_path)
+
+
+def test_cpu_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for reported, expected in ((5, 5), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda reported=reported: reported)
+        assert core._cpu_count() == expected

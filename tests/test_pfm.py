@@ -1,10 +1,11 @@
+import io
 import re
 import struct
 
 import numpy as np
 import pytest
 
-from psdesign import FileFormatError
+from psdesign import FileFormatError, pfm
 from psdesign.cli import main
 from psdesign.pfm import mask_path, read_normal_map_arrays, read_pfm, write_normal_map, write_pfm
 
@@ -101,14 +102,18 @@ def test_mask_path():
 
 @pytest.mark.parametrize("channels", [1, 3])
 def test_crlf_header_round_trip(tmp_path, channels):
-    # the byte after "-1.0\r" is the "\n" of the line end, not the first float
+    # the byte after "-1.0\r" is the "\n" of the line end, not the first float;
+    # runs of spaces and tabs and a blank line between the tokens read the same
     img = np.arange(1, 7, dtype=np.float32).reshape((2, 3) if channels == 1 else (1, 2, 3))
     path = tmp_path / "crlf.pfm"
     write_pfm(path, img)
     raw = path.read_bytes()
-    header_end = len(raw) - img.nbytes
-    path.write_bytes(raw[:header_end].replace(b"\n", b"\r\n") + raw[header_end:])
-    assert read_pfm(path).tobytes() == img.tobytes()
+    header, payload = raw[:len(raw) - img.nbytes], raw[len(raw) - img.nbytes:]
+    magic, dims, scale, _ = header.split(b"\n")
+    spaced = magic + b" \t \n" + dims.replace(b" ", b"\t  \t") + b"  \n\n\t" + scale + b"\n"
+    for spelled in (header.replace(b"\n", b"\r\n"), spaced):
+        path.write_bytes(spelled + payload)
+        assert read_pfm(path).tobytes() == img.tobytes()
 
 
 def _normal_map_file(tmp_path, name, header=b"PF\n2 2\n-1.0\n", mask_shape=(2, 2)):
@@ -130,16 +135,38 @@ BAD_NORMAL_MAPS = {
     "nan scale": (b"PF\n2 2\nnan\n", (2, 2)),
     "inf scale": (b"PF\n2 2\n-inf\n", (2, 2)),
     "mask of another shape": (b"PF\n2 2\n-1.0\n", (2, 1)),
+    "endless header token": (b"P" * 8192, (2, 2)),
+    # a payload of 1.2e19 bytes, past the largest read size
+    "dimensions past the end of the file": (b"PF\n1000000000 1000000000\n-1.0\n", (2, 2)),
 }
 
 
+class _CountingReader(io.BufferedReader):
+    """A binary file that appends the length of every read to ``reads``."""
+
+    def __init__(self, path, reads):
+        super().__init__(io.FileIO(path))
+        self.reads = reads
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.reads.append(len(data))
+        return data
+
+
 @pytest.mark.parametrize("case", list(BAD_NORMAL_MAPS))
-def test_bad_normal_map_is_io_error(tmp_path, capsys, case):
+def test_bad_normal_map_is_io_error(tmp_path, capsys, monkeypatch, case):
     header, mask_shape = BAD_NORMAL_MAPS[case]
     bad = _normal_map_file(tmp_path, "bad", header, mask_shape)
-    with pytest.raises(FileFormatError, match=re.escape(str(bad))):
-        read_normal_map_arrays(bad)
+    reads = []
+    with monkeypatch.context() as patch:
+        patch.setattr(pfm, "open", lambda path, mode: _CountingReader(path, reads), raising=False)
+        with pytest.raises(FileFormatError, match=re.escape(str(bad))):
+            read_normal_map_arrays(bad)
+    # rejected from its header: not read to the end of an 8 KiB token
+    assert sum(reads) <= 1024
     good = _normal_map_file(tmp_path, "good")
     argv = ["evaluate", "--est", str(bad), "--gt", str(good), "--out", str(tmp_path / "e")]
     assert main(argv) == 3
-    assert capsys.readouterr().err.startswith("psdesign: I/O error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("psdesign: I/O error: ") and str(bad) in err

@@ -2,6 +2,7 @@
 arithmetic, its stack and warning contract, and the descent on the nearly
 coplanar heuristic-spread rig whose estimated prior is nearly rank 2."""
 
+import itertools
 import json
 import warnings
 from fractions import Fraction
@@ -158,6 +159,14 @@ class TestKernelContract:
         want = draw / np.linalg.norm(draw, axis=2, keepdims=True)
         got = np.stack([rows for rows, _ in baseline_random(500, m, ShapePrior.identity(), seed=17)])
         assert np.array_equal(got, want)
+        # the one row normaliser has np.linalg.norm's bits on a stack and on one rig,
+        # and random_unit_rows normalizes its draw with it
+        assert optimize._renormalize_rows(draw).tobytes() == want.tobytes()
+        for k, i in itertools.product(range(8), range(8)):
+            rig = substream(k, i).normal(size=(m, 3))
+            want = unit(rig)
+            assert optimize._renormalize_rows(rig).tobytes() == want.tobytes()
+            assert optimize.random_unit_rows(m, substream(k, i)).tobytes() == want.tobytes()
 
     def test_failed_pivot_scores_inf_without_a_warning(self):
         rigs = np.array([

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -70,18 +72,27 @@ class TestSolveExact:
 
     def test_wrong_light_count(self):
         lights = LightConfig(rows=np.vstack([np.eye(3), [0.0, 0.6, 0.8]]))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="solve_exact needs exactly 3 lights, got 4"):
             solve_exact([1.0, 1.0, 1.0, 1.0], lights)
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape("expected 3 intensities, got shape (2,)")):
+            solve_exact([1.0, 1.0], identity_triad())
 
 
 class TestSolveLsq:
     def test_square_case_matches_exact(self, rng):
-        for _ in range(20):
-            lights = well_conditioned_config(rng, 3)
-            i = rng.uniform(0.1, 1.0, size=3)
+        cases = [(well_conditioned_config(rng, 3), rng.uniform(0.1, 1.0, size=3))
+                 for _ in range(20)]
+        cases.append((identity_triad(), np.array([0.0, 0.0, 1.0])))  # invalid: two in shadow
+        for lights, i in cases:
             a = solve_exact(i, lights)
             b = solve_lsq(i, lights, [0.1, 0.1, 0.1])
             assert np.abs(a.n_tilde - b.n_tilde).max() < 1e-12
+            # unweighted, it is solve_lsq field by field
+            c = solve_lsq(i, lights, np.zeros(3))
+            assert a.n_tilde.tobytes() == c.n_tilde.tobytes()
+            assert a.normal.tobytes() == c.normal.tobytes()
+            assert (a.albedo, a.valid) == (c.albedo, c.valid)
 
     def test_duplicated_triad_is_redundant(self, rng):
         n = np.array([0.3, -0.2, 0.93])
