@@ -21,7 +21,6 @@ MIN_STEP, and raises RankCollapseError if every candidate step is rank deficient
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +46,6 @@ GRAD_TOL = 1e-8
 # Certified optimal: phi within this share of phi*.  No rig scores below phi*,
 # so no later restart can improve on a certified result by more than this.
 OPTIMALITY_RTOL = 1e-12
-# Rank floor for the heuristic spread: the 3-light optimum is exactly coplanar,
-# which LightConfig rejects; nudging to this singular-value ratio keeps the
-# config constructible (and its phi astronomically large, as it should be)
-# while moving the pairwise angles by O(1e-14) degrees.
-HEURISTIC_RANK_FLOOR = 1e-7
-# Heuristic spread ascent: step count, first step length and first softmin
-# temperature (both in chord length)
-HEURISTIC_STEPS = 3000
-HEURISTIC_FIRST_STEP = 0.02
-HEURISTIC_FIRST_TEMPERATURE = 0.05
 
 
 @dataclass(frozen=True)
@@ -257,68 +246,28 @@ def baseline_random(
     return list(zip(freeze(rows), phi_of_rows(rows, prior.m_agg).tolist()))
 
 
-def min_pairwise_angle_deg(rows: np.ndarray) -> float:
-    """Smallest angle in degrees between any two direction vectors."""
-    rows = np.asarray(rows, dtype=float)
-    dots = np.clip(rows @ rows.T, -1.0, 1.0)
-    iu = np.triu_indices(rows.shape[0], k=1)
-    return float(np.degrees(np.arccos(dots[iu].max())))
-
-
-@functools.lru_cache(maxsize=64)
 def baseline_heuristic_spread(m: int) -> LightConfig:
-    """m unit directions over the whole sphere with a large smallest pairwise
-    angle (the Tammes problem), by a deterministic ascent; no random draws.
+    """m camera-facing lights at equal azimuths 2 pi k / m on one ring at the
+    slant arctan(sqrt 2) = 54.74 degrees from +z; no random draws.
 
-    From the golden spiral, each step moves every point along its tangent
-    plane away from its neighbours, weighted by a softmin of their chord
-    distance above the closest pair; the largest move is the step length.
-    Step length and temperature shrink linearly to zero.  The 3-light optimum
-    is coplanar, so it is nudged out of plane to a singular-value ratio of
-    HEURISTIC_RANK_FLOOR: constructible, with a finite but enormous phi.
-    One immutable result per m is cached.  m < 3 raises DimensionMismatchError.
+    This is the tight frame, the textbook rig: S^T S = (m/3) I for every
+    m >= 3, optimal for the shape-agnostic objective (M = I), where phi = 9/m
+    (Drbohlav & Chantler, ICCV 2005).  Every row has z = 1/sqrt(3), and at
+    m = 3 the rows are the orthogonal triad's bits.  m < 3 raises
+    DimensionMismatchError.
     """
     if m < 3:
         raise DimensionMismatchError(f"need at least 3 lights, got {m}")
-    k = np.arange(m) + 0.5  # golden spiral: equal-area heights, golden-angle turns
-    z, azimuth = 1.0 - 2.0 * k / m, np.pi * (3.0 - np.sqrt(5.0)) * k
-    pts = np.stack([np.sqrt(1.0 - z * z) * np.cos(azimuth),
-                    np.sqrt(1.0 - z * z) * np.sin(azimuth), z], axis=1)
-    for i in range(HEURISTIC_STEPS):
-        left = 1.0 - i / HEURISTIC_STEPS
-        chord = np.sqrt(np.maximum(2.0 - 2.0 * (pts @ pts.T), 0.0))
-        np.fill_diagonal(chord, np.inf)
-        weight = np.exp((chord.min() - chord) / (HEURISTIC_FIRST_TEMPERATURE * left)) / chord
-        # sum_j weight_ij (p_i - p_j), less its radial part
-        pull = weight @ pts
-        push = np.einsum("ij,ij->i", pull, pts)[:, None] * pts - pull
-        scale = HEURISTIC_FIRST_STEP * left / np.linalg.norm(push, axis=1).max()
-        pts = _renormalize_rows(pts + scale * push)
-    return LightConfig(rows=_ensure_rank_floor(pts))
-
-
-def _ensure_rank_floor(rows: np.ndarray) -> np.ndarray:
-    """Push a (near-)coplanar configuration just off the plane."""
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s[-1] > HEURISTIC_RANK_FLOOR * s[0]:
-        return rows
-    plane_normal = vt[-1]
-    signs = np.where(np.arange(rows.shape[0]) % 2 == 0, 1.0, -1.0)
-    nudge = 2.0 * HEURISTIC_RANK_FLOOR * float(s[0])
-    nudged = rows + (nudge * signs)[:, None] * plane_normal[None, :]
-    return _renormalize_rows(nudged)
-
-
-def baseline_orthogonal_triad() -> LightConfig:
-    """Three mutually orthogonal unit directions symmetric about the view axis.
-
-    Tilts are 120 degrees apart at a common slant of arccos(1/sqrt(3)) from
-    +z, so S^T S is exactly the identity.
-    """
-    azimuths = 2.0 * np.pi * np.arange(3) / 3.0
+    azimuths = 2.0 * np.pi * np.arange(m) / m
     radial = np.sqrt(2.0 / 3.0)
     base = np.stack(
-        [radial * np.cos(azimuths), radial * np.sin(azimuths), np.full(3, 1.0 / np.sqrt(3.0))],
+        [radial * np.cos(azimuths), radial * np.sin(azimuths), np.full(m, 1.0 / np.sqrt(3.0))],
         axis=1,
     )
     return LightConfig(rows=_renormalize_rows(base))
+
+
+def baseline_orthogonal_triad() -> LightConfig:
+    """Three mutually orthogonal unit directions symmetric about the view axis:
+    the 3-light ring of baseline_heuristic_spread, so S^T S is the identity."""
+    return baseline_heuristic_spread(3)

@@ -14,9 +14,9 @@ import numpy as np
 
 from .core import FileFormatError
 
-# Longest header token read: a decimal width, height or scale is far shorter,
-# and the cap stops a non-PFM file from being scanned to its end.
-MAX_TOKEN_BYTES = 64
+# Longest header read, whitespace included: three short lines are far shorter,
+# and the cap stops a non-PFM or blank file from being scanned to its end.
+MAX_HEADER_BYTES = 256
 
 
 def _read_token(f) -> bytes:
@@ -24,6 +24,8 @@ def _read_token(f) -> bytes:
     ends it, or both bytes of a CR LF line end."""
     token = b""
     while True:
+        if f.tell() >= MAX_HEADER_BYTES:
+            raise FileFormatError(f"{f.name}: PFM header longer than {MAX_HEADER_BYTES} bytes")
         ch = f.read(1)
         if ch == b"":
             raise FileFormatError(f"{f.name}: unexpected end of file in PFM header")
@@ -33,8 +35,6 @@ def _read_token(f) -> bytes:
                     f.read(1)
                 return token
             continue
-        if len(token) == MAX_TOKEN_BYTES:
-            raise FileFormatError(f"{f.name}: PFM header token longer than {MAX_TOKEN_BYTES} bytes")
         token += ch
 
 

@@ -6,6 +6,16 @@ from psdesign import cli, evaluate, forward
 from psdesign.optimize import random_unit_rows
 
 
+# A nearly coplanar triad at a singular-value ratio of about 1e-7: 120 degrees
+# apart in a tilted plane, nudged just off it, with phi ~ 5e13 under M = I.
+# Degenerate-input tests take it as their rig; its bits are fixed here.
+NEARLY_COPLANAR_ROWS = np.array([
+    [0.21745777537796718, 0.6892858398837762, 0.6910840374826949],
+    [-0.8967819597471458, -0.44247272985252023, -2.9878538141366135e-06],
+    [0.6793254065643828, -0.24681631191178705, -0.6910851613009785],
+])
+
+
 @pytest.fixture
 def rng():
     return substream(20240811, 0)

@@ -167,8 +167,11 @@ def test_pipeline_zero_noise(tmp_path):
     report = json.loads((out / "report.json").read_text())
     validate_report(report)
     for row in report["comparison"]:
-        if row["note"] == "ok":
-            assert row["mean_deg"] < 1e-6
+        assert row["note"] == "ok"
+        assert row["mean_deg"] < 1e-6
+    # at m = 3 the heuristic ring is the orthogonal triad, so its row is the triad's
+    rows = {row.pop("name"): row for row in report["comparison"]}
+    assert rows["heuristic-spread"] == rows["orthogonal-triad"]
     traj = report["optimization"]["phi_trajectory"]
     assert all(b <= a for a, b in zip(traj, traj[1:]))
 

@@ -9,7 +9,6 @@ from psdesign import (
     OptimizerConfig,
     RankCollapseError,
     ShapePrior,
-    SingularLightMatrixError,
     add_noise,
     baseline_heuristic_spread,
     baseline_orthogonal_triad,
@@ -27,17 +26,15 @@ from psdesign import (
 from psdesign import optimize
 from psdesign.core import rank_ratio
 from psdesign.optimize import (
-    HEURISTIC_RANK_FLOOR,
     OPTIMALITY_RTOL,
     STEP_SIZE,
     _bb_step,
-    min_pairwise_angle_deg,
     random_hemisphere_rows,
     random_unit_rows,
 )
 from psdesign.scenes import SceneSpec, generate
 
-from conftest import well_conditioned_config
+from conftest import NEARLY_COPLANAR_ROWS, well_conditioned_config
 
 
 def identity_triad():
@@ -291,10 +288,10 @@ class TestDescentExits:
             optimize_lights(start, ShapePrior.identity(), OptimizerConfig())
 
     def test_no_armijo_decrease_stops_unconverged(self):
-        # the nearly coplanar spread: phi ~ 5e13 and a tangent gradient norm ~ 7e20,
+        # a nearly coplanar triad: phi ~ 5e13 and a tangent gradient norm ~ 7e20,
         # so the Armijo test asks for more than phi at every step down to MIN_STEP
         prior = ShapePrior.identity()
-        report = optimize_lights(baseline_heuristic_spread(3), prior, OptimizerConfig())
+        report = optimize_lights(LightConfig(rows=NEARLY_COPLANAR_ROWS), prior, OptimizerConfig())
         traj = report.phi_trajectory
         assert not report.converged
         assert report.iterations_used == len(traj) - 1
@@ -361,80 +358,52 @@ def test_random_rows_need_three_lights(draw, m):
         draw(m, NoDraws())
 
 
-# Best-known Tammes angles in degrees: the largest possible smallest pairwise
-# angle of m directions, proven optimal for m <= 14 (Musin & Tarasov, 2015).
-TAMMES_DEG = {3: 120.0, 4: 109.4712, 5: 90.0, 6: 90.0, 7: 77.8695, 8: 74.8585,
-              9: 70.5288, 10: 66.1468, 11: 63.4349, 12: 63.4349, 13: 57.1367,
-              14: 55.6706, 15: 53.6579, 16: 52.2444}
-
-
 class TestHeuristicSpread:
+    """The tight-frame ring: equal azimuths at a slant of arctan(sqrt 2)."""
+
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_too_few_lights_is_a_typed_error(self, m):
         with pytest.raises(DimensionMismatchError):
             baseline_heuristic_spread(m)
 
     @pytest.mark.parametrize("m", range(3, 17))
-    def test_min_angle_near_best_known(self, m):
-        angle = min_pairwise_angle_deg(baseline_heuristic_spread(m).rows)
-        assert angle <= TAMMES_DEG[m] + 1e-3
-        assert angle >= TAMMES_DEG[m] - 1.0
-        if m != 14:  # at 14 the ascent settles on a local optimum near 54.73 deg
-            assert angle >= TAMMES_DEG[m] - 0.05
-
-    def test_draws_no_random_numbers(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the heuristic spread drew random numbers")
-
-        monkeypatch.setattr(optimize, "random_unit_rows", refuse)
-        monkeypatch.setattr(optimize, "substream", refuse)
-        rows = baseline_heuristic_spread.__wrapped__(7).rows
-        assert np.array_equal(rows, baseline_heuristic_spread(7).rows)
-
-    def test_three_lights_coplanar_equiangular(self):
-        cfg = baseline_heuristic_spread(3)
-        angle = min_pairwise_angle_deg(cfg.rows)
-        assert angle == pytest.approx(120.0, abs=0.1)
-
-    def test_three_light_config_degenerate_for_phi(self):
-        # either the objective raises or it returns an enormous value;
-        # record which so comparison tables can tell the two apart
-        cfg = baseline_heuristic_spread(3)
-        try:
-            phi = phi_shape_agnostic(cfg)
-            outcome = ("large-value", phi)
-            assert phi > 1e10
-        except SingularLightMatrixError:
-            outcome = ("singular", None)
-        assert outcome[0] in ("large-value", "singular")
-
-    def test_four_lights_tetrahedral(self):
-        cfg = baseline_heuristic_spread(4)
-        dots = cfg.rows @ cfg.rows.T
-        off_diag = dots[~np.eye(4, dtype=bool)]
-        assert np.abs(np.degrees(np.arccos(off_diag)) - np.degrees(np.arccos(-1.0 / 3.0))).max() < 0.1
+    def test_tight_frame(self, m):
+        cfg = baseline_heuristic_spread(m)
+        assert np.abs(cfg.rows.T @ cfg.rows - (m / 3.0) * np.eye(3)).max() <= 1e-12 * m
+        assert phi_shape_agnostic(cfg) == pytest.approx(9.0 / m, rel=1e-12)
+        assert np.abs(cfg.rows[:, 2] - 1.0 / np.sqrt(3.0)).max() <= 1e-12
 
     @pytest.mark.parametrize("m", range(3, 17))
     def test_every_m_in_envelope_gives_a_valid_rig(self, m):
-        # the repulsion used to overshoot and collide points for m >= 13
         rows = baseline_heuristic_spread(m).rows
         assert rows.shape == (m, 3)
         assert np.all(np.isfinite(rows))
         assert np.abs(np.einsum("ij,ij->i", rows, rows) - 1.0).max() <= 1e-12
-        assert rank_ratio(rows) >= HEURISTIC_RANK_FLOOR
+        assert rank_ratio(rows) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic(self):
         assert np.array_equal(baseline_heuristic_spread(4).rows,
                               baseline_heuristic_spread(4).rows)
 
-    def test_cached_rig_is_shared_and_sealed(self):
-        cached = baseline_heuristic_spread(5)
-        assert baseline_heuristic_spread(5) is cached
-        assert np.array_equal(baseline_heuristic_spread.__wrapped__(5).rows, cached.rows)
+    def test_three_lights_are_the_orthogonal_triad(self):
+        assert np.array_equal(baseline_heuristic_spread(3).rows,
+                              baseline_orthogonal_triad().rows)
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the heuristic spread drew random numbers")
+
+        before = baseline_heuristic_spread(7).rows
+        monkeypatch.setattr(optimize, "random_unit_rows", refuse)
+        monkeypatch.setattr(optimize, "substream", refuse)
+        assert np.array_equal(baseline_heuristic_spread(7).rows, before)
+
+    def test_rows_are_sealed(self):
+        rows = baseline_heuristic_spread(5).rows
         with pytest.raises(ValueError):
-            cached.rows[0, 0] = 0.0
+            rows[0, 0] = 0.0
         with pytest.raises(ValueError):
-            cached.rows.flags.writeable = True
+            rows.flags.writeable = True
 
 
 class TestOrthogonalTriad:

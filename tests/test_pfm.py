@@ -136,6 +136,7 @@ BAD_NORMAL_MAPS = {
     "inf scale": (b"PF\n2 2\n-inf\n", (2, 2)),
     "mask of another shape": (b"PF\n2 2\n-1.0\n", (2, 1)),
     "endless header token": (b"P" * 8192, (2, 2)),
+    "endless header blanks": (b"PF" + b" " * 8192, (2, 2)),
     # a payload of 1.2e19 bytes, past the largest read size
     "dimensions past the end of the file": (b"PF\n1000000000 1000000000\n-1.0\n", (2, 2)),
 }
@@ -163,7 +164,7 @@ def test_bad_normal_map_is_io_error(tmp_path, capsys, monkeypatch, case):
         patch.setattr(pfm, "open", lambda path, mode: _CountingReader(path, reads), raising=False)
         with pytest.raises(FileFormatError, match=re.escape(str(bad))):
             read_normal_map_arrays(bad)
-    # rejected from its header: not read to the end of an 8 KiB token
+    # rejected from its header: not read to the end of 8 KiB of token or blanks
     assert sum(reads) <= 1024
     good = _normal_map_file(tmp_path, "good")
     argv = ["evaluate", "--est", str(bad), "--gt", str(good), "--out", str(tmp_path / "e")]

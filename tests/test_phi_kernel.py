@@ -1,6 +1,6 @@
 """The objective kernel ``oed.phi_of_rows``: accuracy against exact rational
-arithmetic, its stack and warning contract, and the descent on the nearly
-coplanar heuristic-spread rig whose estimated prior is nearly rank 2."""
+arithmetic, its stack and warning contract, and the descent on a nearly
+coplanar rig whose estimated prior is nearly rank 2."""
 
 import itertools
 import json
@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from psdesign import (
-    LightConfig, ShapePrior, baseline_heuristic_spread, baseline_random, cli, optimize,
+    LightConfig, ShapePrior, baseline_random, cli, optimize,
 )
 from psdesign.core import RANK_RTOL, rank_ratio
 from psdesign.forward import Stage, stream_key, substream
 from psdesign.oed import phi_lower_bound, phi_of_rows
+
+from conftest import NEARLY_COPLANAR_ROWS
 
 EPS = np.finfo(float).eps
 # phi is within ACCURACY_MULTIPLE * kappa(G) * eps of its exact value.  To first
@@ -24,8 +26,8 @@ EPS = np.finfo(float).eps
 # about 3 m eps |G| and the 3x3 Cholesky factor and its inverse a few eps |G|
 # more, which is below 64 eps |G| for every m tested here.
 ACCURACY_MULTIPLE = 64
-# The README run config with the nearly coplanar 3-light spread as its rig:
-# the prior estimated through it is nearly rank 2.
+# The README run config with the nearly coplanar triad as its rig: the prior
+# estimated through it is nearly rank 2.
 SPREAD_CONFIG = {
     "seed": 1234,
     "alpha": 0.05,
@@ -33,7 +35,7 @@ SPREAD_CONFIG = {
         "kind": "sphere", "width": 64, "height": 64, "params": {"radius": 0.9},
         "albedo": {"kind": "constant", "value": 0.9},
     },
-    "lights": {"baseline": "heuristic-spread", "m": 3},
+    "lights": {"rows": NEARLY_COPLANAR_ROWS.tolist()},
     "noise": {"sigma": 0.02},
     "optimizer": {"max_iters": 1000, "restarts": 4},
     "trials": 20,
@@ -120,12 +122,12 @@ class TestAccuracy:
                 assert_accurate(rows, m_agg)
 
     def test_rank_two_prior_of_the_spread_config(self, spread_run):
-        # every candidate of the descent's first line search from the spread,
+        # every candidate of the descent's first line search from the triad,
         # which is where a cofactor (adjugate) form of phi goes wrong
         _, prior, report = spread_run
         m_agg = prior.m_agg
         assert np.linalg.eigvalsh(m_agg)[0] < 1e-12 * np.trace(m_agg)
-        rows = baseline_heuristic_spread(3).rows
+        rows = NEARLY_COPLANAR_ROWS
         tangent = optimize._tangent_gradient(rows, optimize._gradient_of_rows(rows, m_agg))
         candidates = [rows, np.asarray(report["final_rows"])]
         step = optimize.STEP_SIZE
