@@ -19,7 +19,6 @@ from .core import (
     NonUnitRowsError,
     NormalMap,
     PhotometryError,
-    RankCollapseError,
     SingularLightMatrixError,
     normalize,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "OptimizerConfig",
     "PhotometryError",
     "PixelEstimate",
-    "RankCollapseError",
     "SceneSpec",
     "ShapePrior",
     "SingularLightMatrixError",

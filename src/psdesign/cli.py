@@ -30,7 +30,6 @@ from .core import (
     LightConfig,
     NonPositiveSigmaError,
     NonUnitRowsError,
-    RankCollapseError,
     SingularLightMatrixError,
     freeze,
     require_sigmas,
@@ -555,8 +554,8 @@ def main(argv=None) -> int:
     except EmptyMaskError as exc:  # a valid config whose data leaves nothing to work on
         print(f"psdesign: no valid pixels: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (SingularLightMatrixError, RankCollapseError, DegenerateVectorError,
-            NonPositiveSigmaError, np.linalg.LinAlgError) as exc:
+    except (SingularLightMatrixError, DegenerateVectorError, NonPositiveSigmaError,
+            np.linalg.LinAlgError) as exc:
         print(f"psdesign: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FileFormatError, OSError) as exc:

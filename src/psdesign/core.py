@@ -79,10 +79,6 @@ class NonUnitRowsError(PhotometryError):
     """A light configuration has a row whose norm is not 1."""
 
 
-class RankCollapseError(PhotometryError):
-    """Optimizer iterate became rank deficient and could not be repaired."""
-
-
 class FileFormatError(PhotometryError):
     """A file does not conform to the expected on-disk format."""
 

@@ -11,12 +11,9 @@ accepted move (Barzilai & Borwein, IMA J. Numer. Anal. 1988; with a
 retraction onto unit rows as in Wen & Yin, Math. Prog. 2013).
 
 The infimum phi* = (tr M^1/2)^2 / m over unit rows is known in closed form
-(``oed.phi_lower_bound``), so it is the stopping certificate: a descent stops,
-converged, once phi - phi* <= OPTIMALITY_RTOL phi*, and the restarts left after
-a certified result are skipped.  Short of it (phi* is not attained when M is
-singular, as for a true plane) a descent ends at a tangent-gradient norm below
-GRAD_TOL, after max_iters iterations or with no Armijo decrease down to
-MIN_STEP, and raises RankCollapseError if every candidate step is rank deficient.
+(``oed.phi_lower_bound``), so a descent stops, converged, once phi - phi* <=
+OPTIMALITY_RTOL phi*; short of it (phi* is not attained when M is singular, as
+for a true plane), after max_iters iterations or when no step lowers phi.
 """
 
 from __future__ import annotations
@@ -29,20 +26,18 @@ from .core import (
     DimensionMismatchError,
     LightConfig,
     RANK_RTOL,
-    RankCollapseError,
     freeze,
     rank_ratio,
 )
 from .forward import Stage, stream_key, substream
 from .oed import ShapePrior, phi_lower_bound, phi_of_rows
 
-# Descent constants: first trial step, Armijo sufficient decrease and
-# backtracking factor, smallest step tried, tangent-gradient stopping norm.
+# Descent constants: first trial step, Armijo sufficient decrease and backtracking.
 STEP_SIZE = 0.25
 ARMIJO_DECREASE = 1e-4
 ARMIJO_SHRINK = 0.5
-MIN_STEP = 1e-15
-GRAD_TOL = 1e-8
+# A line search stops once step * tangent-gradient norm is below float64 resolution.
+EPS = np.finfo(float).eps
 # Certified optimal: phi within this share of phi*.  No rig scores below phi*,
 # so no later restart can improve on a certified result by more than this.
 OPTIMALITY_RTOL = 1e-12
@@ -65,6 +60,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizationReport:
+    """A descent's result.  ``converged`` means certified, phi - phi* <=
+    OPTIMALITY_RTOL phi*; ``gradient_norm_final`` is a diagnostic only."""
+
     initial_s: LightConfig
     final_s: LightConfig
     phi_trajectory: list[float]
@@ -156,20 +154,18 @@ def _descend(
         tangent = _tangent_gradient(rows, _gradient_of_rows(rows, m_agg))
         grad_norm = float(np.linalg.norm(tangent))
         # the gap as the report computes it: certified means gap <= OPTIMALITY_RTOL phi*
-        converged = phi - bound <= OPTIMALITY_RTOL * bound or grad_norm < GRAD_TOL
+        converged = phi - bound <= OPTIMALITY_RTOL * bound
         if converged or len(trajectory) > cfg.max_iters:
             break
         s, y = (None, None) if before is None else (rows - before[0], tangent - before[1])
         step = _bb_step(s, y)
         before = (rows, tangent)
-        saw_full_rank = False
-        while step >= MIN_STEP:
+        while step * grad_norm >= EPS:
             candidate = _renormalize_rows(rows - step * tangent)
-            if rank_ratio(candidate) <= RANK_RTOL:
-                step *= 0.5  # rejected: degenerate iterate
-                continue
-            saw_full_rank = True
-            candidate_phi = float(phi_of_rows(candidate, m_agg))
+            # rank-deficient candidates, which singular priors drift toward, fail like
+            # Armijo tests; every iterate is full rank, so small enough steps are too
+            full_rank = rank_ratio(candidate) > RANK_RTOL
+            candidate_phi = float(phi_of_rows(candidate, m_agg)) if full_rank else np.inf
             # strictly lower too: the Armijo margin rounds away once it is below
             # half an ulp of phi, and a step that keeps phi is no progress
             if candidate_phi < phi and candidate_phi <= phi - ARMIJO_DECREASE * step * grad_norm**2:
@@ -178,11 +174,7 @@ def _descend(
                 break
             step *= ARMIJO_SHRINK
         else:
-            if not saw_full_rank:
-                raise RankCollapseError(
-                    "every candidate step led to a rank-deficient configuration"
-                )
-            break  # no acceptable decrease at machine precision; stationary
+            break  # no lower phi at any step the rows resolve
     # The objective only sees rows through their outer products, so it is
     # exactly invariant to per-row sign flips; report the camera-facing
     # representative (z >= 0), which is the one an imaging rig can use.
@@ -204,19 +196,18 @@ def optimize_lights(
 
     Each line search starts from the Barzilai-Borwein step of the previous
     accepted move (STEP_SIZE on a descent's first iteration) and backtracks
-    until a candidate passes the Armijo test and lowers phi strictly.  Restart
-    0 starts from ``initial``; restart r >= 1 from uniformly random unit rows
-    drawn from stream r of the RESTART key of ``cfg.seed``.  Each descent
-    stops, converged, once phi - phi* <= OPTIMALITY_RTOL phi* or its tangent
-    gradient norm falls below GRAD_TOL.  The lowest final objective wins; ties
-    within 1e-12 keep the earliest restart, and once the best result is
-    certified within OPTIMALITY_RTOL of phi* the remaining restarts are not
-    run, since none could improve on it by more than phi* * OPTIMALITY_RTOL.
+    until a full-rank candidate passes the Armijo test and lowers phi
+    strictly.  Restart 0 starts from ``initial``; restart r >= 1 from uniformly
+    random unit rows drawn from stream r of the RESTART key of ``cfg.seed``.
+    A descent stops converged, once phi - phi* <= OPTIMALITY_RTOL phi*; after
+    ``cfg.max_iters`` iterations; or when no step with step * tangent-gradient
+    norm >= EPS lowers phi.  The lowest final objective wins, ties within 1e-12
+    keep the earliest restart, and no restart runs after a converged result.
     """
     bound = phi_lower_bound(prior.m_agg, initial.m)
     best = _descend(initial, initial.rows, prior.m_agg, cfg, bound)
     for restart in range(1, cfg.restarts):
-        if best.optimality_gap <= OPTIMALITY_RTOL * bound:
+        if best.converged:
             break
         rng = substream(stream_key(cfg.seed, Stage.RESTART, 0), restart)
         report = _descend(initial, random_unit_rows(initial.m, rng), prior.m_agg, cfg, bound)

@@ -129,9 +129,10 @@ class TestAccuracy:
         assert np.linalg.eigvalsh(m_agg)[0] < 1e-12 * np.trace(m_agg)
         rows = NEARLY_COPLANAR_ROWS
         tangent = optimize._tangent_gradient(rows, optimize._gradient_of_rows(rows, m_agg))
+        grad_norm = np.linalg.norm(tangent)
         candidates = [rows, np.asarray(report["final_rows"])]
         step = optimize.STEP_SIZE
-        while step >= optimize.MIN_STEP:
+        while step * grad_norm >= optimize.EPS:
             candidate = optimize._renormalize_rows(rows - step * tangent)
             if rank_ratio(candidate) > RANK_RTOL:
                 candidates.append(candidate)
