@@ -100,9 +100,13 @@ def _score(est_xyz, gt_xyz, joint, out, starts=None, unit=False) -> tuple[int, n
 
 
 def _bin_counts(samples: np.ndarray) -> np.ndarray:
-    """Counts in the bins of HISTOGRAM_EDGES, then the overflow (angles are >= 0)."""
-    counts = np.histogram(samples, bins=HISTOGRAM_EDGES)[0]
-    return np.append(counts, samples.size - counts.sum())
+    """Counts in the bins of HISTOGRAM_EDGES, then the overflow (angles are >= 0).
+    The edges are k/2, so 2 * angle is exact and its floor is its bin; NaN and
+    angles above 30 overflow, as np.histogram leaves them out."""
+    counts = np.bincount(np.fmin(2.0 * samples, 60.0).astype(np.intp), minlength=61)
+    top = np.count_nonzero(samples == 30.0)  # the last bin is closed
+    counts[59:] += top, -top
+    return counts
 
 
 def _stats_from_samples(samples: np.ndarray, error_map: np.ndarray | None,

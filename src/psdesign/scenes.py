@@ -5,7 +5,10 @@ projection, camera looking along -Z.  Pixel center i of a dimension of size d
 maps to 2 * (i + 0.5) / d - 1.  Surfaces are described in gradient space
 (p, q) = (df/dx, df/dy); the stored camera-facing normal is
 (-p, -q, 1) / |(-p, -q, 1)|.  Both builders write the (3, H, W) layout of
-NormalMap, which adopts it.
+NormalMap, which adopts it.  The analytic ones broadcast a (1, W) row of x and
+an (H, 1) column of y into it, with no full-frame grid, and keep the operations
+and their order of a grid evaluation (the norm sums p*p + q*q + 1, as
+np.linalg.norm does), so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -29,6 +32,13 @@ SCENE_KINDS = ("sphere", "paraboloid", "plane", "from_file")
 INGEST_NORM_FLOOR = 1e-12
 
 
+def _require_int(name: str, value) -> int:
+    """``value`` if it is an int or numpy integer (not a bool, not 64.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class AlbedoSpec:
     """Constant albedo, or a two-tone checkerboard with a given cell size."""
@@ -44,15 +54,14 @@ class AlbedoSpec:
         for v in (self.value, self.value2) if self.kind == "checkerboard" else (self.value,):
             if not 0.0 < v <= 1.0:
                 raise InvalidSpecError(f"albedo values must be in (0, 1], got {v}")
-        if self.kind == "checkerboard" and self.cell < 1:
+        if _require_int("cell", self.cell) < 1 and self.kind == "checkerboard":
             raise InvalidSpecError("checkerboard cell must be >= 1")
 
     def render(self, height: int, width: int) -> np.ndarray:
         if self.kind == "constant":
             return np.full((height, width), self.value)
-        iy, ix = np.mgrid[0:height, 0:width]
-        board = ((iy // self.cell) + (ix // self.cell)) % 2
-        return np.where(board == 0, self.value, self.value2)
+        odd_row, odd_col = ((np.arange(n) // self.cell) % 2 == 1 for n in (height, width))
+        return np.where(odd_row[:, None] != odd_col[None, :], self.value2, self.value)
 
 
 @dataclass(frozen=True)
@@ -73,22 +82,16 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
             raise InvalidSpecError(f"unknown scene kind {self.kind!r}")
-        if self.width < 1 or self.height < 1:
+        if _require_int("width", self.width) < 1 or _require_int("height", self.height) < 1:
             raise InvalidSpecError("scene dimensions must be >= 1")
         object.__setattr__(self, "params", dict(self.params))
 
 
 def _frame_coords(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel-center coordinates in [-1, 1]; x along columns, y along rows."""
+    """Pixel-center coordinates in [-1, 1]: x as a (1, W) row, y as an (H, 1) column."""
     xs = 2.0 * (np.arange(width) + 0.5) / width - 1.0
     ys = 2.0 * (np.arange(height) + 0.5) / height - 1.0
-    return np.meshgrid(xs, ys)
-
-
-def _normals_from_gradient(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    planes = np.stack([-p, -q, np.ones_like(p)])
-    planes /= np.linalg.norm(planes, axis=0)
-    return planes
+    return xs[None, :], ys[:, None]
 
 
 def _normal_map(planes: np.ndarray, mask: np.ndarray) -> NormalMap:
@@ -107,32 +110,40 @@ def generate(spec: SceneSpec) -> tuple[NormalMap, AlbedoMap]:
             raise InvalidSpecError(
                 f"file is {nmap.height}x{nmap.width}, spec says {spec.height}x{spec.width}"
             )
-        return nmap, AlbedoMap(values=spec.albedo.render(nmap.height, nmap.width))
+        return nmap, AlbedoMap(values=freeze(spec.albedo.render(nmap.height, nmap.width)))
 
     x, y = _frame_coords(spec.width, spec.height)
-    mask = np.ones((spec.height, spec.width), dtype=bool)
+    planes = np.empty((3, spec.height, spec.width))
 
-    if spec.kind == "plane":
-        p = float(spec.params.get("p", 0.0))
-        q = float(spec.params.get("q", 0.0))
-        normals = _normals_from_gradient(np.full_like(x, p), np.full_like(y, q))
-    elif spec.kind == "paraboloid":
-        a = float(spec.params.get("curvature", 0.5))
-        # f = -a (x^2 + y^2)  =>  p = -2 a x, q = -2 a y
-        normals = _normals_from_gradient(-2.0 * a * x, -2.0 * a * y)
-    else:  # sphere, the one kind left that SceneSpec admits
+    if spec.kind == "sphere":
         radius = float(spec.params.get("radius", 0.9))
         if not 0.0 < radius <= 1.0:
             raise InvalidSpecError(f"sphere radius fraction must be in (0, 1], got {radius}")
         u = x / radius
         v = y / radius
-        rho2 = u * u + v * v
+        rho2 = np.add(u * u, v * v, out=planes[2])
         mask = rho2 < 1.0
-        nz = np.sqrt(np.clip(1.0 - rho2, 0.0, None))
-        normals = np.stack([u, v, nz])
-        normals[:, ~mask] = CAMERA_AXIS[:, None]
+        planes[0], planes[1] = u, v
+        # z = sqrt(max(1 - rho2, 0)), evaluated in place over rho2
+        np.sqrt(np.clip(np.subtract(1.0, rho2, out=rho2), 0.0, None, out=rho2), out=rho2)
+        np.copyto(planes, CAMERA_AXIS[:, None, None], where=~mask)
+    else:
+        mask = np.ones((spec.height, spec.width), dtype=bool)
+        if spec.kind == "plane":
+            p, q = (np.full((1, 1), float(spec.params.get(k, 0.0))) for k in ("p", "q"))
+        else:  # paraboloid, the one kind left that SceneSpec admits
+            a = float(spec.params.get("curvature", 0.5))
+            # f = -a (x^2 + y^2)  =>  p = -2 a x, q = -2 a y
+            p, q = -2.0 * a * x, -2.0 * a * y
+        # (-p, -q, 1) over its norm, summed in np.linalg.norm's order
+        norm = np.add(p * p, q * q, out=planes[2])
+        np.sqrt(np.add(norm, 1.0, out=norm), out=norm)
+        np.divide(-p, norm, out=planes[0])
+        np.divide(-q, norm, out=planes[1])
+        np.divide(1.0, norm, out=norm)
 
-    return _normal_map(normals, mask), AlbedoMap(values=spec.albedo.render(spec.height, spec.width))
+    albedo = freeze(spec.albedo.render(spec.height, spec.width))
+    return _normal_map(planes, mask), AlbedoMap(values=albedo)
 
 
 def ingest_normal_map(path) -> NormalMap:

@@ -83,6 +83,20 @@ def test_one_selection_gives_numpys_statistics(values):
     assert stats.count == samples.size
 
 
+def test_bin_counts_are_numpys_histogram_past_its_block():
+    # more samples than np.histogram's 65,536-sample block, with every edge case
+    # of the doubled-angle binning: signed zero, an interior edge, both
+    # neighbours of 30 and 30 itself, an angle far past the last edge and NaN
+    samples = np.random.default_rng(24).uniform(0.0, 35.0, 200_000)
+    samples[:9] = [0.0, -0.0, 29.5, np.nextafter(30.0, 0.0), 30.0, np.nextafter(30.0, 31.0),
+                   180.0, np.nan, 30.0]
+    counts = np.histogram(samples, bins=HISTOGRAM_EDGES)[0]
+    expected = np.append(counts, samples.size - counts.sum())
+    assert np.array_equal(evaluate._bin_counts(samples), expected)
+    assert expected[-2:].tolist() == [np.count_nonzero((samples >= 29.5) & (samples <= 30.0)),
+                                      np.count_nonzero(~(samples <= 30.0))]
+
+
 class TestCompareMaps:
     def test_identical_maps(self):
         nmap, _ = plane_maps()

@@ -1,8 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from psdesign import EmptyMaskError, FileFormatError, InvalidSpecError
 from psdesign.pfm import write_pfm
+from psdesign.core import CAMERA_AXIS
 from psdesign.scenes import (
     AlbedoSpec,
     SceneSpec,
@@ -10,6 +14,51 @@ from psdesign.scenes import (
     generate,
     ingest_normal_map,
 )
+
+ORACLE_SURFACES = [
+    ("sphere", {}), ("sphere", {"radius": 0.37}), ("sphere", {"radius": 0.9}),
+    ("sphere", {"radius": 1.0}), ("paraboloid", {}), ("paraboloid", {"curvature": 0.5}),
+    ("paraboloid", {"curvature": -3.0}), ("plane", {}), ("plane", {"p": 0.3, "q": -1.7}),
+    ("plane", {"p": 12.0, "q": 0.0}),
+]
+# (width, height), odd, one-pixel and degenerate frames included
+ORACLE_SIZES = [(256, 256), (64, 64), (33, 17), (7, 3), (1, 9), (10, 1), (1, 1)]
+# the last cell is larger than every frame, so its board is one cell
+ORACLE_ALBEDOS = [AlbedoSpec(value=0.7)] + [
+    AlbedoSpec(kind="checkerboard", value=0.6, value2=0.95, cell=cell) for cell in (1, 3, 8, 300)
+]
+
+
+def meshgrid_scene(kind, width, height, params, albedo):
+    """The full-frame grid evaluation that generate's broadcasting replaces."""
+    xs = 2.0 * (np.arange(width) + 0.5) / width - 1.0
+    ys = 2.0 * (np.arange(height) + 0.5) / height - 1.0
+    x, y = np.meshgrid(xs, ys)
+    mask = np.ones((height, width), dtype=bool)
+    if kind == "sphere":
+        radius = float(params.get("radius", 0.9))
+        u = x / radius
+        v = y / radius
+        rho2 = u * u + v * v
+        mask = rho2 < 1.0
+        normals = np.stack([u, v, np.sqrt(np.clip(1.0 - rho2, 0.0, None))])
+        normals[:, ~mask] = CAMERA_AXIS[:, None]
+    else:
+        if kind == "plane":
+            p = np.full_like(x, float(params.get("p", 0.0)))
+            q = np.full_like(y, float(params.get("q", 0.0)))
+        else:
+            a = float(params.get("curvature", 0.5))
+            p, q = -2.0 * a * x, -2.0 * a * y
+        normals = np.stack([-p, -q, np.ones_like(p)])
+        normals /= np.linalg.norm(normals, axis=0)
+    if albedo.kind == "constant":
+        values = np.full((height, width), albedo.value)
+    else:
+        iy, ix = np.mgrid[0:height, 0:width]
+        board = ((iy // albedo.cell) + (ix // albedo.cell)) % 2
+        values = np.where(board == 0, albedo.value, albedo.value2)
+    return normals.transpose(1, 2, 0), mask, values
 
 
 class TestGenerate:
@@ -75,6 +124,58 @@ class TestGenerate:
         assert amap.values[0, 0] == 0.4
         assert amap.values[0, 2] == 0.9
         assert amap.values[2, 2] == 0.4
+
+    @pytest.mark.parametrize("kind, params", ORACLE_SURFACES, ids=[
+        " ".join([kind, *(f"{k}={v}" for k, v in params.items())]) for kind, params in ORACLE_SURFACES
+    ])
+    def test_bytes_of_the_meshgrid_evaluation(self, kind, params):
+        for (width, height), albedo in itertools.product(ORACLE_SIZES, ORACLE_ALBEDOS):
+            nmap, amap = generate(SceneSpec(kind=kind, width=width, height=height,
+                                            params=params, albedo=albedo))
+            normals, mask, values = meshgrid_scene(kind, width, height, params, albedo)
+            case = (width, height, albedo)
+            assert nmap.normals.tobytes() == normals.tobytes(), case
+            assert nmap.mask.tobytes() == mask.tobytes(), case
+            assert amap.values.tobytes() == values.tobytes(), case
+
+    @pytest.mark.parametrize("kind, params", [("sphere", {}), ("paraboloid", {}),
+                                              ("plane", {"p": 0.3, "q": -1.7})],
+                             ids=["sphere", "paraboloid", "tilted plane"])
+    def test_transient_memory_below_twice_the_output(self, kind, params):
+        # two full-frame coordinate grids plus a stacked copy would pass 2x
+        spec = SceneSpec(kind=kind, width=256, height=256, params=params,
+                         albedo=AlbedoSpec(kind="checkerboard", value=0.6, value2=0.95))
+        nmap, amap = generate(spec)
+        out_bytes = nmap.normals.nbytes + nmap.mask.nbytes + amap.values.nbytes
+        tracemalloc.start()
+        try:
+            generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * out_bytes
+
+    @pytest.mark.parametrize("field, make", [
+        ("width", lambda: SceneSpec(kind="sphere", width=64.5, height=64)),
+        ("width", lambda: SceneSpec(kind="sphere", width=64.0, height=64)),
+        ("height", lambda: SceneSpec(kind="plane", width=8, height=True)),
+        ("height", lambda: SceneSpec(kind="plane", width=8, height=np.float64(8.0))),
+        ("cell", lambda: AlbedoSpec(kind="checkerboard", cell=2.5)),
+        ("cell", lambda: AlbedoSpec(kind="checkerboard", cell=8.0)),
+        ("cell", lambda: AlbedoSpec(kind="checkerboard", cell=True)),
+        ("cell", lambda: AlbedoSpec(cell=2.5)),
+    ], ids=["width 64.5", "width 64.0", "height True", "height float64",
+            "cell 2.5", "cell 8.0", "cell True", "constant cell 2.5"])
+    def test_non_integer_sizes_rejected(self, field, make):
+        with pytest.raises(InvalidSpecError, match=f"^{field} must be an integer"):
+            make()
+
+    def test_numpy_integer_sizes_accepted(self):
+        albedo = AlbedoSpec(kind="checkerboard", value=0.6, value2=0.95, cell=np.int32(3))
+        nmap, amap = generate(SceneSpec(kind="sphere", width=np.int64(7), height=np.uint8(5),
+                                        albedo=albedo))
+        assert nmap.normals.shape == (5, 7, 3)
+        assert amap.values.tobytes() == albedo.render(5, 7).tobytes()
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpecError):
