@@ -47,7 +47,7 @@ from .optimize import (
     random_hemisphere_rows,
 )
 from .scenes import (
-    SCENE_KINDS,
+    SCENE_PARAMS,
     AlbedoSpec,
     SceneSpec,
     export_normal_map,
@@ -102,11 +102,11 @@ def _when(key: str, value: str, then: dict) -> dict:
     return {"if": {"required": [key], "properties": {key: {"const": value}}}, "then": then}
 
 
-_SCENE_PARAMS = {"sphere": {"radius": _NUMBER}, "paraboloid": {"curvature": _NUMBER},
-                 "plane": {"p": _NUMBER, "q": _NUMBER}, "from_file": {"path": {"type": "string"}}}
+_SCENE_PARAMS = {kind: {key: {"type": "string"} if key == "path" else _NUMBER for key in params}
+                 for kind, params in SCENE_PARAMS.items()}
 _SCENE = {
     **_object(
-        ["kind", "width", "height"], kind={"enum": list(SCENE_KINDS)},
+        ["kind", "width", "height"], kind={"enum": list(SCENE_PARAMS)},
         width={"type": "integer", "minimum": 1}, height={"type": "integer", "minimum": 1},
         params={"type": "object"},
         # a constant albedo, the default kind, reads only its value

@@ -83,8 +83,8 @@ class FileFormatError(PhotometryError):
     """A file does not conform to the expected on-disk format."""
 
 
-class InvalidSpecError(PhotometryError):
-    """A scene or run specification fails validation."""
+class InvalidSpecError(PhotometryError, ValueError):
+    """A scene, run or call specification fails validation."""
 
 
 def freeze(a: np.ndarray) -> np.ndarray:

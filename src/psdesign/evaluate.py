@@ -19,6 +19,7 @@ from .core import (
     AlbedoMap,
     DimensionMismatchError,
     EmptyMaskError,
+    InvalidSpecError,
     LightConfig,
     NormalMap,
     freeze,
@@ -192,7 +193,7 @@ def compare_configs(
     and no stats.  Each row also records phi under the scene's prior.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidSpecError("trials must be >= 1")
     if prior is None:
         prior = build_shape_prior(gt_normals)
     gt_xyz = gt_normals.normals.reshape(-1, 3).T

@@ -16,6 +16,7 @@ from .core import (
     AlbedoMap,
     DimensionMismatchError,
     IntensityStack,
+    InvalidSpecError,
     LightConfig,
     NormalMap,
     _readonly,
@@ -44,7 +45,7 @@ def stream_key(seed: int, stage: Stage, index: int) -> int:
     Distinct (seed mod 2^64, stage, index) give distinct keys; the NOISE key
     with index 0 is the run seed itself."""
     if not 0 <= index < 1 << 56:
-        raise ValueError(f"stream index must be in [0, 2^56), got {index}")
+        raise InvalidSpecError(f"stream index must be in [0, 2^56), got {index}")
     return int(seed) % (1 << 64) | (int(stage) << 56 | int(index)) << 64
 
 
@@ -86,7 +87,7 @@ def render_pixel(n, rho: float, s) -> float:
     ``n`` must be a unit normal and ``rho`` a physical albedo in (0, 1].
     """
     if not 0.0 < rho <= 1.0:
-        raise ValueError(f"albedo must be in (0, 1], got {rho}")
+        raise InvalidSpecError(f"albedo must be in (0, 1], got {rho}")
     n = np.asarray(n, dtype=float)
     s = np.asarray(s, dtype=float)
     return float(max(0.0, rho * float(n @ s)))

@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     DimensionMismatchError,
+    InvalidSpecError,
     LightConfig,
     RANK_RTOL,
     freeze,
@@ -53,9 +54,9 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise InvalidSpecError("max_iters must be >= 1")
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise InvalidSpecError("restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -103,27 +104,23 @@ def _renormalize_rows(rows: np.ndarray) -> np.ndarray:
 
 def random_unit_rows(m: int, rng: np.random.Generator) -> np.ndarray:
     """m directions i.i.d. uniform on the unit sphere (normalized Gaussian draws),
-    drawn again if coplanar.  m < 3 raises DimensionMismatchError before any draw."""
+    full rank almost surely.  m < 3 raises DimensionMismatchError before any draw."""
     if m < 3:
         raise DimensionMismatchError(f"need at least 3 lights, got {m}")
-    while True:
-        rows = _renormalize_rows(rng.normal(size=(m, 3)))
-        if rank_ratio(rows) > RANK_RTOL:
-            return rows
+    return _renormalize_rows(rng.normal(size=(m, 3)))
 
 
 def random_hemisphere_rows(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Like random_unit_rows but camera-facing (z > 0): usable for imaging.
+    """Like random_unit_rows but camera-facing (z > 0): usable for imaging, and
+    full rank almost surely.
 
     A light below the visible hemisphere contributes no data at all, so
     random *imaging* rigs are drawn from the upper half sphere; the design
     objective itself is still sampled over the full sphere.
     """
-    while True:
-        rows = random_unit_rows(m, rng)
-        rows[:, 2] = np.abs(rows[:, 2])
-        if rank_ratio(rows) > RANK_RTOL:
-            return rows
+    rows = random_unit_rows(m, rng)
+    rows[:, 2] = np.abs(rows[:, 2])
+    return rows
 
 
 def _bb_step(s: np.ndarray | None, y: np.ndarray | None) -> float:
@@ -229,7 +226,7 @@ def baseline_random(
     before any draw.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InvalidSpecError("count must be >= 1")
     if m < 3:
         raise DimensionMismatchError(f"need at least 3 lights, got {m}")
     rows = _renormalize_rows(

@@ -1,14 +1,17 @@
 """Portable Float Map reader/writer.
 
-Layout: a "PF" (3-channel) or "Pf" (1-channel) magic line, a "width height"
-line, a scale line whose sign encodes endianness (negative = little-endian),
-then raw 32-bit floats in bottom-to-top row order.  Chosen because it
-round-trips float32 exactly with a trivially specified layout.
+A header is optional blanks, the magic "PF" (3-channel) or "Pf" (1-channel),
+then width, height and scale, each after a run of blanks, and one blank or one
+CR LF, all within 256 bytes (a blank is a space, tab, CR or LF; only the LF of
+a CR LF may be the 257th byte).  The scale's sign encodes endianness (negative
+= little-endian); raw 32-bit floats follow in bottom-to-top row order.  Chosen
+because it round-trips float32 exactly with a trivially specified layout.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -17,41 +20,24 @@ from .core import FileFormatError
 # Longest header read, whitespace included: three short lines are far shorter,
 # and the cap stops a non-PFM or blank file from being scanned to its end.
 MAX_HEADER_BYTES = 256
-
-
-def _read_token(f) -> bytes:
-    """Next whitespace-delimited token of the header; consumes the byte that
-    ends it, or both bytes of a CR LF line end."""
-    token = b""
-    while True:
-        if f.tell() >= MAX_HEADER_BYTES:
-            raise FileFormatError(f"{f.name}: PFM header longer than {MAX_HEADER_BYTES} bytes")
-        ch = f.read(1)
-        if ch == b"":
-            raise FileFormatError(f"{f.name}: unexpected end of file in PFM header")
-        if ch in b" \t\r\n":
-            if token:
-                if ch == b"\r" and f.peek(1)[:1] == b"\n":
-                    f.read(1)
-                return token
-            continue
-        token += ch
+_HEADER = re.compile(
+    rb"[ \t\r\n]*([^ \t\r\n]+)" + rb"[ \t\r\n]+([^ \t\r\n]+)" * 3 + rb"(\r\n|[ \t\r\n])")
 
 
 def read_pfm(path) -> np.ndarray:
     """Read a PFM file into float32, shape (H, W) or (H, W, 3), top row first."""
     with open(path, "rb") as f:
-        magic = _read_token(f)
-        if magic == b"PF":
-            channels = 3
-        elif magic == b"Pf":
-            channels = 1
-        else:
+        head = f.read(MAX_HEADER_BYTES + 1)
+        match = _HEADER.match(head)
+        if match is None or match.end() > MAX_HEADER_BYTES and match[5] != b"\r\n":
+            raise FileFormatError(
+                f"{path}: no PFM header within its first {MAX_HEADER_BYTES} bytes")
+        magic, width, height, scale = match.group(1, 2, 3, 4)
+        if magic not in (b"PF", b"Pf"):
             raise FileFormatError(f"{path}: not a PFM file (magic {magic!r})")
+        channels = 3 if magic == b"PF" else 1
         try:
-            width = int(_read_token(f))
-            height = int(_read_token(f))
-            scale = float(_read_token(f))
+            width, height, scale = int(width), int(height), float(scale)
         except ValueError as exc:
             raise FileFormatError(f"{path}: malformed PFM header") from exc
         if width <= 0 or height <= 0:
@@ -59,6 +45,7 @@ def read_pfm(path) -> np.ndarray:
         if scale == 0.0 or not np.isfinite(scale):
             raise FileFormatError(f"{path}: scale must be finite and nonzero, got {scale}")
         size = 4 * width * height * channels
+        f.seek(match.end())
         # checked before reading, so that huge dimensions ask for no huge read
         raw = f.read(size) if size <= os.fstat(f.fileno()).st_size - f.tell() else b""
         if len(raw) != size:

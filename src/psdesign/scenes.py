@@ -13,6 +13,8 @@ np.linalg.norm does), so the bytes are the same.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -28,7 +30,12 @@ from .core import (
     freeze,
 )
 
-SCENE_KINDS = ("sphere", "paraboloid", "plane", "from_file")
+# Each kind's parameters and their defaults: sphere radius as a fraction of the
+# frame, paraboloid curvature, plane gradient (p, q), and from_file's path to a
+# 3-channel PFM normal map, which has no default
+SCENE_PARAMS = {"sphere": {"radius": 0.9}, "paraboloid": {"curvature": 0.5},
+                "plane": {"p": 0.0, "q": 0.0}, "from_file": {"path": None}}
+SCENE_KINDS = tuple(SCENE_PARAMS)
 INGEST_NORM_FLOOR = 1e-12
 
 
@@ -66,12 +73,8 @@ class AlbedoSpec:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """What to generate: surface kind, resolution, kind-specific parameters.
-
-    params keys: sphere -> radius (fraction of the frame, default 0.9);
-    paraboloid -> curvature (default 0.5); plane -> p, q (default 0);
-    from_file -> path to a 3-channel PFM normal map.
-    """
+    """What to generate: surface kind, resolution, and the kind's parameters
+    (SCENE_PARAMS), each a finite number but for from_file's path."""
 
     kind: str
     width: int
@@ -85,6 +88,18 @@ class SceneSpec:
         if _require_int("width", self.width) < 1 or _require_int("height", self.height) < 1:
             raise InvalidSpecError("scene dimensions must be >= 1")
         object.__setattr__(self, "params", dict(self.params))
+        params = {**SCENE_PARAMS[self.kind], **self.params}
+        for key, value in self.params.items():
+            if key not in SCENE_PARAMS[self.kind]:
+                raise InvalidSpecError(f"{self.kind} scene has no parameter {key!r}")
+            # a finite float64: NaN fails, and so does an int that float() overflows
+            if key != "path" and not (isinstance(value, numbers.Real)
+                                      and abs(value) <= sys.float_info.max):
+                raise InvalidSpecError(f"parameter {key!r} must be a finite number, got {value!r}")
+        if self.kind == "sphere" and not 0.0 < params["radius"] <= 1.0:
+            raise InvalidSpecError(f"sphere radius must be in (0, 1], got {params['radius']}")
+        if self.kind == "from_file" and not params["path"]:
+            raise InvalidSpecError("from_file scene needs params['path']")
 
 
 def _frame_coords(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,11 +116,9 @@ def _normal_map(planes: np.ndarray, mask: np.ndarray) -> NormalMap:
 
 def generate(spec: SceneSpec) -> tuple[NormalMap, AlbedoMap]:
     """Build ground-truth normal and albedo maps for a scene spec."""
+    params = {**SCENE_PARAMS[spec.kind], **spec.params}
     if spec.kind == "from_file":
-        path = spec.params.get("path")
-        if not path:
-            raise InvalidSpecError("from_file scene needs params['path']")
-        nmap = ingest_normal_map(path)
+        nmap = ingest_normal_map(params["path"])
         if (nmap.height, nmap.width) != (spec.height, spec.width):
             raise InvalidSpecError(
                 f"file is {nmap.height}x{nmap.width}, spec says {spec.height}x{spec.width}"
@@ -116,9 +129,7 @@ def generate(spec: SceneSpec) -> tuple[NormalMap, AlbedoMap]:
     planes = np.empty((3, spec.height, spec.width))
 
     if spec.kind == "sphere":
-        radius = float(spec.params.get("radius", 0.9))
-        if not 0.0 < radius <= 1.0:
-            raise InvalidSpecError(f"sphere radius fraction must be in (0, 1], got {radius}")
+        radius = float(params["radius"])
         u = x / radius
         v = y / radius
         rho2 = np.add(u * u, v * v, out=planes[2])
@@ -130,9 +141,9 @@ def generate(spec: SceneSpec) -> tuple[NormalMap, AlbedoMap]:
     else:
         mask = np.ones((spec.height, spec.width), dtype=bool)
         if spec.kind == "plane":
-            p, q = (np.full((1, 1), float(spec.params.get(k, 0.0))) for k in ("p", "q"))
+            p, q = (np.full((1, 1), float(params[k])) for k in ("p", "q"))
         else:  # paraboloid, the one kind left that SceneSpec admits
-            a = float(spec.params.get("curvature", 0.5))
+            a = float(params["curvature"])
             # f = -a (x^2 + y^2)  =>  p = -2 a x, q = -2 a y
             p, q = -2.0 * a * x, -2.0 * a * y
         # (-p, -q, 1) over its norm, summed in np.linalg.norm's order

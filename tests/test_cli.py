@@ -541,3 +541,36 @@ def test_readme_config_example_is_valid():
     section = readme.split("### Run config", 1)[1]
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     jsonschema.Draft7Validator(cli.CONFIG_SCHEMA).validate(json.loads(example))
+
+
+def test_pipeline_rows_without_valid_pixels(tmp_path, capsys):
+    # three lights 20 degrees about the normal of the plane p = 2: the ring the
+    # heuristic and the triad share puts one light below that plane's horizon,
+    # and the rig optimized on its one-normal prior grazes it with one light
+    # just below
+    normal = np.array([-2.0, 0.0, 1.0]) / np.sqrt(5.0)
+    across = np.array([1.0, 0.0, 2.0]) / np.sqrt(5.0)
+    azimuths = np.radians([0.0, 120.0, 240.0])[:, None]
+    rows = np.cos(np.radians(20.0)) * normal + np.sin(np.radians(20.0)) * (
+        np.cos(azimuths) * across + np.sin(azimuths) * np.array([0.0, 1.0, 0.0]))
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, seed=3, scene={
+        "kind": "plane", "width": 16, "height": 12, "params": {"p": 2.0},
+        "albedo": {"kind": "constant", "value": 0.8},
+    }, lights={"rows": rows.tolist()}, optimizer={"max_iters": 50}, trials=2)
+    out = tmp_path / "pipe"
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    validate_report(report)
+    dark = ["heuristic-spread", "orthogonal-triad", "optimized"]
+    for row in report["comparison"]:
+        assert (row["note"] == "no-valid-pixels") == (row["name"] in dark), row
+    stdout = capsys.readouterr().out
+    for name in dark:
+        row = next(r for r in report["comparison"] if r["name"] == name)
+        assert all(row[key] is None for key in
+                   ("mean_deg", "median_deg", "p90_deg", "max_deg", "sample_count"))
+        assert f"hist_{name}" not in report["outputs"]
+        assert not (out / f"hist_{name}.csv").exists()
+        assert f"{name}: n/a" in stdout
+    assert (out / "hist_initial.csv").exists() and "initial: n/a" not in stdout

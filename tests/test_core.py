@@ -18,16 +18,22 @@ from psdesign import (
     NonUnitRowsError,
     NormalMap,
     OptimizerConfig,
+    PhotometryError,
     SceneSpec,
+    ShapePrior,
     SingularLightMatrixError,
+    Stage,
+    baseline_random,
     chi_square_quantile,
     compare_configs,
     covariance,
     export_normal_map,
     generate,
     normalize,
+    render_pixel,
     solve_exact,
     solve_lsq,
+    stream_key,
 )
 from psdesign import core
 from psdesign.core import freeze, require_sigmas, require_spd, InvalidSpecError
@@ -305,6 +311,26 @@ def test_outside_input_raises_a_typed_error(tmp_path, case):
     call, error = BAD_INPUT[case]
     with pytest.raises(error):
         call(tmp_path)
+
+
+# a check of each call's own arguments, with no type of its own
+ARGUMENT_CHECKS = {
+    "zero max_iters": lambda: OptimizerConfig(max_iters=0),
+    "zero restarts": lambda: OptimizerConfig(restarts=0),
+    "zero comparison trials": lambda: compare_configs(*_plane(), {"triad": TRIAD}, 0.01,
+                                                      trials=0, seed=1),
+    "zero random rigs": lambda: baseline_random(0, 3, ShapePrior.identity()),
+    "stream index 2^56": lambda: stream_key(1, Stage.NOISE, 2**56),
+    "albedo 0": lambda: render_pixel([0.0, 0.0, 1.0], 0.0, [0.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(ARGUMENT_CHECKS))
+def test_argument_checks_raise_a_package_error(case):
+    # an InvalidSpecError, which callers that catch ValueError still catch
+    with pytest.raises(PhotometryError) as err:
+        ARGUMENT_CHECKS[case]()
+    assert isinstance(err.value, InvalidSpecError) and isinstance(err.value, ValueError)
 
 
 def test_cpu_count_without_an_affinity_call(monkeypatch):

@@ -171,3 +171,39 @@ def test_bad_normal_map_is_io_error(tmp_path, capsys, monkeypatch, case):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("psdesign: I/O error: ") and str(bad) in err
+
+
+# headers of a 2x1 image: blanks may lead the magic, and the scale's line end
+# may be one blank or one CR LF, within 256 bytes but for the LF of that CR LF
+ACCEPTED_HEADERS = {
+    "leading blanks": b"  PF\n2 1\n-1.0\n",
+    "CR LF on bytes 256 and 257": b"Pf\n2 1\n" + b" " * 244 + b"-1.0\r\n",
+    "ending byte 256": b"Pf\n2 1\n" + b" " * 244 + b"-1.0\n",
+}
+# (header, what the message says besides the path)
+REJECTED_HEADERS = {
+    "ending byte 257": (b"Pf\n2 1\n" + b" " * 245 + b"-1.0\n", "256 bytes"),
+    "blanks only": (b" \t\r\n" * 100, "256 bytes"),
+    "wrong magic": (b"P6\n2 1\n255\n", "not a PFM file"),
+}
+
+
+@pytest.mark.parametrize("case", list(ACCEPTED_HEADERS))
+def test_header_read_up_to_its_last_byte(tmp_path, case):
+    header = ACCEPTED_HEADERS[case]
+    channels = 3 if header.lstrip().startswith(b"PF") else 1
+    pixels = np.repeat(np.float32([0.0, 1.0]), channels)
+    path = tmp_path / "a.pfm"
+    path.write_bytes(header + pixels.astype("<f4").tobytes())
+    # a payload read one byte early (from the LF of the CR LF) reads [1.4e-44, -0]
+    assert read_pfm(path).tobytes() == pixels.tobytes()
+
+
+@pytest.mark.parametrize("case", list(REJECTED_HEADERS))
+def test_header_rejected(tmp_path, case):
+    header, message = REJECTED_HEADERS[case]
+    path = tmp_path / "r.pfm"
+    path.write_bytes(header + np.float32([0.0, 1.0]).astype("<f4").tobytes())
+    with pytest.raises(FileFormatError, match=re.escape(str(path))) as err:
+        read_pfm(path)
+    assert message in str(err.value)

@@ -8,6 +8,7 @@ from psdesign import EmptyMaskError, FileFormatError, InvalidSpecError
 from psdesign.pfm import write_pfm
 from psdesign.core import CAMERA_AXIS
 from psdesign.scenes import (
+    SCENE_PARAMS,
     AlbedoSpec,
     SceneSpec,
     export_normal_map,
@@ -188,6 +189,41 @@ class TestGenerate:
             generate(SceneSpec(kind="sphere", width=4, height=4, params={"radius": 1.5}))
         with pytest.raises(InvalidSpecError):
             generate(SceneSpec(kind="from_file", width=4, height=4))
+
+    @pytest.mark.parametrize("kind, params, key", [
+        ("sphere", {"radus": 0.5}, "radus"),
+        ("plane", {"p": 0.1, "radius": 0.5}, "radius"),
+        ("from_file", {"path": "n.pfm", "curvature": 0.5}, "curvature"),
+        ("paraboloid", {"curvature": float("nan")}, "curvature"),
+        ("plane", {"p": float("inf")}, "p"),
+        ("plane", {"q": -np.inf}, "q"),
+        ("paraboloid", {"curvature": 10**400}, "curvature"),
+        ("sphere", {"radius": "0.5"}, "radius"),
+        ("from_file", {}, "path"),
+        ("from_file", {"path": ""}, "path"),
+    ], ids=["misspelt radius", "radius of a plane", "curvature of a file", "nan curvature",
+            "inf p", "-inf q", "int past float64", "string radius", "no path", "empty path"])
+    def test_bad_params_rejected_where_the_spec_is_built(self, kind, params, key):
+        # a misspelt key rendered the default sphere, and a non-finite one
+        # failed inside generate with a message about unit normals
+        with pytest.raises(InvalidSpecError) as err:
+            SceneSpec(kind=kind, width=8, height=8, params=params)
+        assert f"'{key}'" in str(err.value)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.5, 1.5])
+    def test_radius_out_of_range_rejected_where_the_spec_is_built(self, radius):
+        with pytest.raises(InvalidSpecError, match="radius"):
+            SceneSpec(kind="sphere", width=8, height=8, params={"radius": radius})
+
+    def test_defaults_are_the_tables(self):
+        for kind in ("sphere", "paraboloid", "plane"):
+            implicit, explicit = (generate(SceneSpec(kind=kind, width=9, height=7, params=params))
+                                  for params in ({}, SCENE_PARAMS[kind]))
+            assert implicit[0].normals.tobytes() == explicit[0].normals.tobytes()
+            assert np.array_equal(implicit[0].mask, explicit[0].mask)
+        # params are kept as given, so reports echo them unchanged
+        spec = SceneSpec(kind="sphere", width=2, height=2, params={"radius": 1})
+        assert spec.params == {"radius": 1} and type(spec.params["radius"]) is int
 
 
 class TestIngest:
