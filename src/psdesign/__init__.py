@@ -5,6 +5,8 @@ normals and albedo, quantify the uncertainty of those estimates, and descend
 on the uncertainty to find better light directions.
 """
 
+import types
+
 from .core import (
     AlbedoMap,
     AlphaOutOfRangeError,
@@ -52,60 +54,6 @@ from .solver import PixelEstimate, solve_exact, solve_lsq, solve_map
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlbedoMap",
-    "AlbedoSpec",
-    "AlphaOutOfRangeError",
-    "AngularErrorStats",
-    "ConfidenceRegion",
-    "ConfigComparison",
-    "DegenerateVectorError",
-    "DimensionMismatchError",
-    "EmptyMaskError",
-    "EstimateCovariance",
-    "FileFormatError",
-    "IntensityStack",
-    "InvalidSpecError",
-    "LightConfig",
-    "NoiseSpec",
-    "NonPositiveSigmaError",
-    "NonUnitRowsError",
-    "NormalMap",
-    "OptimizationReport",
-    "OptimizerConfig",
-    "PhotometryError",
-    "PixelEstimate",
-    "SceneSpec",
-    "ShapePrior",
-    "SingularLightMatrixError",
-    "Stage",
-    "a_criterion",
-    "add_noise",
-    "angular_error",
-    "b_matrix",
-    "baseline_heuristic_spread",
-    "baseline_orthogonal_triad",
-    "baseline_random",
-    "build_shape_prior",
-    "chi_square_quantile",
-    "compare_configs",
-    "compare_maps",
-    "confidence_region",
-    "covariance",
-    "export_normal_map",
-    "generate",
-    "ingest_normal_map",
-    "normalize",
-    "optimize_lights",
-    "phi_gradient",
-    "phi_lower_bound",
-    "phi_shape_agnostic",
-    "phi_shape_aware",
-    "render_pixel",
-    "render_stack",
-    "solve_exact",
-    "solve_lsq",
-    "solve_map",
-    "stream_key",
-    "substream",
-]
+# every name imported above is public
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -24,12 +24,14 @@ from .core import (
     NormalMap,
     freeze,
     pixel_blocks,
+    require_sigmas,
     runner,
 )
-# add_noise and solve_map are not called here, but perfbench's traced run patches them here
+# render_stack, add_noise and solve_map are not called here: they are imported
+# only because perfbench's traced run patches them here, until it drops them
 from .forward import NoiseSpec, Stage, _fill_noise, add_noise, render_stack, stream_key  # noqa: F401
 from .oed import ShapePrior, build_shape_prior, phi_shape_aware
-from .solver import _finish_columns, _inverse, _lit, _product, solve_map  # noqa: F401
+from .solver import DEGENERATE_NORM, MIN_SHADOW_TAU, solve_map  # noqa: F401
 
 HISTOGRAM_EDGES = freeze(np.arange(0.0, 30.25, 0.5))
 
@@ -69,25 +71,28 @@ def _angle_deg(a, b, out=None):
     return np.degrees(np.arctan2(np.sqrt(cross_sq), ax * bx + ay * by + az * bz), out=out)
 
 
-def _score(est_xyz, gt_xyz, joint, out, starts=None, unit=False) -> tuple[int, np.ndarray]:
-    """Write the angular errors at the ``joint`` pixels of (3, P) columns into
-    ``out`` in row-major order; return their count and ``_bin_counts``.  Block
-    b writes at ``starts[b]`` (default: its first pixel), then the blocks are
-    compacted.  With ``unit``, ``_finish_columns`` finishes n_tilde estimates."""
+def _score(gt_xyz, joint, out, estimate, starts=None) -> tuple[int, np.ndarray]:
+    """Write the angular errors at the ``joint`` pixels of (3, P) ground-truth
+    columns into ``out`` in row-major order; return their count and
+    ``_bin_counts``.  ``estimate(take, gt)`` gives the (3, n) estimates at a
+    block's joint pixels, whose ground truth is ``gt``, and which of them to
+    keep (None: all); ``take(a)`` gathers a frame array ``a`` there.  Block b
+    writes at ``starts[b]`` (default: its first pixel), then the blocks are
+    compacted."""
     blocks = pixel_blocks(joint.size)
     starts = [s.start for s in blocks] if starts is None else starts
 
     def score(block) -> tuple[int, np.ndarray]:
         s, start = block
         idx = np.flatnonzero(joint[s])
-        est, ok = np.empty((3, idx.size)), np.ones(idx.size, dtype=bool)
-        for row, e in zip(est_xyz, est):  # take along axis 1 would first copy the strided block
-            row[s].take(idx, out=e)
-        if unit:
-            _finish_columns(est, np.empty(idx.size), ok, unit=True)
-        samples = out[start:start + idx.size]
-        _angle_deg(est, [row[s].take(idx) for row in gt_xyz], out=samples)
-        if not ok.all():  # np.compress buffers its output, so it may overlap the input
+
+        def take(a: np.ndarray) -> np.ndarray:  # a block with every pixel joint needs no gather
+            return a[s] if idx.size == s.stop - s.start else a[s].take(idx)
+
+        gt = [take(row) for row in gt_xyz]  # take along axis 1 would copy the strided block
+        est, ok = estimate(take, gt)
+        samples = _angle_deg(est, gt, out=out[start:start + idx.size])
+        if ok is not None and not ok.all():  # np.compress buffers, so it may overlap its input
             samples = np.compress(ok, samples, out=samples[:np.count_nonzero(ok)])
         return samples.size, _bin_counts(samples)
 
@@ -148,8 +153,9 @@ def compare_maps(est: NormalMap, gt: NormalMap) -> AngularErrorStats:
     joint = (est.mask & gt.mask).reshape(-1)
     # room for every pixel: pages never written are never committed
     samples = np.empty(joint.size)
-    count, counts = _score(est.normals.reshape(-1, 3).T, gt.normals.reshape(-1, 3).T, joint,
-                           samples)
+    est_xyz = est.normals.reshape(-1, 3).T
+    count, counts = _score(gt.normals.reshape(-1, 3).T, joint, samples,
+                           lambda take, _: ([take(row) for row in est_xyz], None))
     samples = samples[:count]
     errors = np.full(joint.size, np.nan)
     errors[joint] = samples
@@ -178,56 +184,72 @@ def compare_configs(
 ) -> list[ConfigComparison]:
     """Monte Carlo comparison of named light configurations on one scene.
 
-    Trial k draws sigma-scaled noise once, for max(m) images: image i from
-    ``substream(stream_key(seed, Stage.COMPARE, k), i)``.  Each config adds
-    its first m images to its clean stack (common random numbers), so a row
-    does not depend on the configs beside it.  One block pass adds the noise
-    and marks the pixels lit in every image (the solver's tau test) and valid
-    in the ground truth; a trial with none stops there.  Otherwise the solver's
-    whole-frame product gives n_tilde, and a second block pass tests,
-    normalises and scores the lit pixels only.  The buffers are allocated once
-    per call, and one runner (see ``core.runner``) serves the whole call.
-    Samples are pooled across trials, and one partition of each row's pool
-    selects its median, p90 and maximum.  The stats carry no error map; a
-    config that leaves no pixel valid in any trial gets note="no-valid-pixels"
-    and no stats.  Each row also records phi under the scene's prior.
+    A config scores its clean-lit pixels, a set fixed per call: valid in the
+    ground truth, with rho * min_i(s_i . n) >= tau, the solver's threshold.
+    There the solver's estimate is exactly n_tilde = rho n + F sigma z,
+    z ~ N(0, I_3), with F = R^-1 for S = QR: sigma^2 F F^T is
+    ``oed.covariance``, and a rig near LightConfig's rank limit keeps a factor.
+    Trial k draws sigma z once per pixel, row i from
+    ``substream(stream_key(seed, Stage.COMPARE, k), i)``, and every config
+    reads it (common random numbers), so a row does not depend on the configs
+    beside it.  Element-wise multiply-adds over ``pixel_blocks`` give the lit
+    set and n_tilde, so no byte depends on the block size or thread count.  As
+    in the solver, n_tilde with z <= 0 or |n_tilde| <= 1e-9 is dropped.  One
+    runner (see ``core.runner``) serves the call.  Samples pool across trials,
+    one partition of a row's pool selects its median, p90 and maximum, and the
+    stats carry no error map.  A config with no sample gets
+    note="no-valid-pixels" and no stats; if no config has a clean-lit pixel,
+    nothing is drawn.  Each row also records phi under the scene's prior.
     """
     if trials < 1:
         raise InvalidSpecError("trials must be >= 1")
+    if albedo.values.shape != gt_normals.mask.shape:
+        raise DimensionMismatchError(f"albedo map {albedo.values.shape} vs normal map "
+                                     f"{gt_normals.mask.shape}")
     if prior is None:
         prior = build_shape_prior(gt_normals)
     gt_xyz = gt_normals.normals.reshape(-1, 3).T
-    gt_mask = gt_normals.mask.reshape(-1)
-    blocks = pixel_blocks(gt_mask.size)
+    gt_mask, rho = gt_normals.mask.reshape(-1), albedo.values.reshape(-1)
+    sigma, blocks = float(require_sigmas(sigma, 1)[0]), pixel_blocks(gt_mask.size)
+    tau = max(3.0 * sigma, MIN_SHADOW_TAU)  # the solver's, at equal noise levels
+    lits, offsets = [], []
     with runner(gt_mask.size) as run:
-        cleans = [render_stack(gt_normals, albedo, c).images.reshape(c.m, -1)
-                  for c in configs.values()]
-        inverses = [_inverse(c, np.full(c.m, float(sigma))) for c in configs.values()]
-        noise = np.empty((max((len(clean) for clean in cleans), default=0), gt_mask.size))
-        noisy = np.empty_like(noise)
-        n_tilde, lit = np.empty((3, gt_mask.size)), np.empty(gt_mask.size, dtype=bool)
-        # a config pools at most this many errors; pages never written are never
-        # committed, so no per-trial piece is kept and no concatenated copy made
-        pooled = [np.empty(trials * int(np.count_nonzero(gt_mask))) for _ in cleans]
-        counts, bins = [0] * len(cleans), [0] * len(cleans)
-        for k in range(trials):
-            spec = NoiseSpec.uniform(sigma, len(noise), seed=stream_key(seed, Stage.COMPARE, k))
-            _fill_noise(noise, spec)
-            for c, (clean, (pinv, tau)) in enumerate(zip(cleans, inverses)):
-                flat = noisy[:len(clean)]
+        for lights in configs.values():
+            lit = np.empty(gt_mask.size, dtype=bool)
 
-                def observe(s: slice) -> int:  # run calls it before the loop moves on
-                    np.add(clean[:, s], noise[:len(clean), s], out=flat[:, s])
-                    return np.count_nonzero(np.logical_and(_lit(flat[:, s], tau, out=lit[s]),
-                                                           gt_mask[s], out=lit[s]))
+            def mark(s: slice) -> int:  # run calls it before the loop moves on
+                low = np.full(s.stop - s.start, np.inf)
+                for sx, sy, sz in lights.rows:
+                    np.minimum(low, sx * gt_xyz[0, s] + sy * gt_xyz[1, s] + sz * gt_xyz[2, s],
+                               out=low)
+                return np.count_nonzero(np.logical_and(rho[s] * low >= tau, gt_mask[s],
+                                                       out=lit[s]))
 
-                lit_counts = run(observe, blocks)
-                if not any(lit_counts):  # e.g. a light below the horizon shadows every pixel
-                    continue
-                _product(pinv, flat, out=n_tilde)
-                n, hist = _score(n_tilde, gt_xyz, lit, pooled[c][counts[c]:],
-                                 np.cumsum([0, *lit_counts[:-1]]), unit=True)
-                counts[c], bins[c] = counts[c] + n, bins[c] + hist
+            # invalid pixels hold unconstrained normals, and the mask drops them
+            with np.errstate(invalid="ignore", over="ignore"):
+                offsets.append(np.cumsum([0, *run(mark, blocks)]))  # of each block's samples
+            lits.append(lit)
+        factors = [np.linalg.inv(np.linalg.qr(c.rows, mode="r")) for c in configs.values()]
+        # a config pools at most this many errors; pages never written are never committed
+        pooled = [np.empty(trials * int(offset[-1])) for offset in offsets]
+        counts, bins = [0] * len(lits), [0] * len(lits)
+        z = np.empty((3, gt_mask.size))
+        for k in range(trials if any(p.size for p in pooled) else 0):
+            _fill_noise(z, NoiseSpec.uniform(sigma, 3, seed=stream_key(seed, Stage.COMPARE, k)))
+            for c, factor in enumerate(factors):
+
+                def draw(take, gt: list) -> tuple[list, np.ndarray]:
+                    r, zs = take(rho), [take(row) for row in z]
+                    est = [r * g for g in gt]
+                    for j, e in enumerate(est):  # F is upper triangular
+                        for i in range(j, 3):
+                            e += factor[j, i] * zs[i]
+                    norm_sq = est[0] * est[0] + est[1] * est[1] + est[2] * est[2]
+                    return est, (est[2] > 0.0) & (norm_sq > DEGENERATE_NORM ** 2)
+
+                if pooled[c].size:
+                    n, hist = _score(gt_xyz, lits[c], pooled[c][counts[c]:], draw, offsets[c][:-1])
+                    counts[c], bins[c] = counts[c] + n, bins[c] + hist
         stats = run(lambda c: _stats_from_samples(pooled[c][:counts[c]], None, bins[c])
                     if counts[c] else None, range(len(counts)))
     return [ConfigComparison(name=name, lights=lights, phi=phi_shape_aware(lights, prior),

@@ -36,7 +36,7 @@ class Stage(enum.IntEnum):
     RESTART = 2  # the random starts of optimize_lights
     BASELINE = 3  # baseline_random
     RERENDER = 4  # the pipeline's render under the optimized rig
-    COMPARE = 5  # compare_configs, one key per trial; config c uses its first m_c images
+    COMPARE = 5  # compare_configs, one key per trial: 3 normals per pixel, shared by configs
 
 
 def stream_key(seed: int, stage: Stage, index: int) -> int:

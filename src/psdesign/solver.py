@@ -4,17 +4,18 @@ The per-pixel model is linear, I = rho * S n = S n_tilde, with one S for every
 pixel, so a single (3, m) matrix solves them all: the whitened pseudo-inverse
 (S^T W S)^-1 S^T W, W = diag(1/sigma_i^2), formed once per call from the SVD of
 W^1/2 S (``_inverse``).  It is applied to the (m, P) stack as one whole-frame
-matrix product (``_product``), straight into the (3, P) output; the shadow test
-(``_lit``, one minimum over the images), the norms, the degeneracy and facing
-tests and the normalisation (``_finish_columns``) then run over the frame in
-``pixel_blocks``, on every CPU (see ``core.runner``).  ``compare_configs`` runs
-the same helpers: the shadow test while it adds each trial's noise, the product
-only when a pixel is lit, and the other tests at lit pixels only.  The product
-is neither blocked nor split between threads because BLAS picks its kernel by
-shape: a one-column block goes through gemv, and from 16 lights on the last
-columns of a product round differently with its width, so narrower products
-would not reproduce the bytes of a whole-frame one.  Singular values at or below max(m, 3) * eps of
-the largest are cut, as in lstsq(rcond=None).
+matrix product, straight into the (3, P) output; the shadow test (one minimum
+over the images), the norms, the degeneracy and facing tests and the
+normalisation (``_finish_columns``) then run over the frame in
+``pixel_blocks``, on every CPU (see ``core.runner``).  The product is neither
+blocked nor split between threads because BLAS picks its kernel by shape: a
+one-column block goes through gemv, and from 16 lights on the last columns of
+a product round differently with its width, so narrower products would not
+reproduce the bytes of a whole-frame one.  ``compare_configs`` solves
+nothing: at a pixel whose clean images all pass the shadow test, this solve
+is rho n plus Gaussian noise of covariance (S^T W S)^-1, which it draws
+directly, with element-wise multiply-adds in blocks.  Singular values at or
+below max(m, 3) * eps of the largest are cut, as in lstsq(rcond=None).
 LightConfig keeps cond(S) below 1e9, so the cut never fires on a valid config,
 and the explicit pseudo-inverse has forward error O(cond(S) * eps), the order
 of a per-column orthogonal solve.  Pixels are excluded when any raw intensity
@@ -74,16 +75,6 @@ def _inverse(lights: LightConfig, sigmas) -> tuple[np.ndarray, float]:
     return pinv, max(3.0 * float(sig.max()), MIN_SHADOW_TAU)
 
 
-def _product(pinv: np.ndarray, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """n_tilde = pinv @ flat, one whole-frame product (see the module docstring)."""
-    return np.matmul(pinv, flat, out=out)
-
-
-def _lit(block: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
-    """Whether every image of the (m, B) ``block`` reaches tau (NaN fails): one reduction."""
-    return np.greater_equal(block.min(axis=0), tau, out=out)
-
-
 def _finish_columns(cols: np.ndarray, norm: np.ndarray, valid: np.ndarray, unit: bool) -> None:
     """Norms of the (3, B) n_tilde ``cols`` into ``norm``; ``valid`` cleared where
     |n_tilde| <= 1e-9, and with ``unit`` where z <= 0 (facing away from the
@@ -99,15 +90,18 @@ def _finish_columns(cols: np.ndarray, norm: np.ndarray, valid: np.ndarray, unit:
 
 def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas, unit: bool = False):
     """The one per-pixel kernel: n_tilde as (3, P) for an (m, P) stack, its
-    norms, and which pixels are ``_lit`` and pass ``_finish_columns`` (with
+    norms, and which pixels are lit and pass ``_finish_columns`` (with
     ``unit`` as given).  All three arrays are fresh, so callers may seal them."""
     pinv, tau = _inverse(lights, sigmas)
-    n_tilde = _product(pinv, flat)
+    n_tilde = np.matmul(pinv, flat)  # one whole-frame product (see the module docstring)
     norms, ok = np.empty(flat.shape[1]), np.empty(flat.shape[1], dtype=bool)
 
+    def finish(s: slice) -> None:  # lit: every image reaches tau (NaN fails), one reduction
+        _finish_columns(n_tilde[:, s], norms[s],
+                        np.greater_equal(flat[:, s].min(axis=0), tau, out=ok[s]), unit)
+
     with runner(len(norms)) as run:
-        run(lambda s: _finish_columns(n_tilde[:, s], norms[s], _lit(flat[:, s], tau, out=ok[s]),
-                                      unit), pixel_blocks(len(norms)))
+        run(finish, pixel_blocks(len(norms)))
     return n_tilde, norms, ok
 
 

@@ -49,7 +49,8 @@ def directions(draws: np.ndarray) -> np.ndarray:
 @pytest.fixture
 def noise_specs(monkeypatch):
     """Records the NoiseSpec of every add_noise call the CLI makes and of every
-    trial noise draw of compare_configs, in call order."""
+    trial draw of compare_configs (3 sigma-scaled normals per pixel, one stream
+    each, shared by the trial's configs), in call order."""
     specs = []
 
     def recording(stack, noise):

@@ -22,7 +22,7 @@ from psdesign import (
     solve_map,
     stream_key,
 )
-from psdesign import core, evaluate, solver
+from psdesign import core, evaluate
 from psdesign.evaluate import HISTOGRAM_EDGES, _stats_from_samples
 from psdesign.oed import build_shape_prior
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
@@ -222,24 +222,21 @@ class TestCompareConfigs:
         assert table[0].note == "no-valid-pixels"
         assert table[0].stats is None
 
-    def test_dark_trials_run_no_product(self, monkeypatch):
-        # no pixel of the dark rig is lit in any trial, so its trials stop
-        # before the solve product; the ring's trials reach it
+    def test_dark_rig_draws_nothing(self, noise_specs):
+        # no pixel is lit by every clean image of the dark rig: alone it draws
+        # nothing; beside the ring it reads the trials' shared draws and scores none
         nmap, amap = self.scene()
         dark = LightConfig(rows=np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         ring = self.configs()["ring"]
-        products = []
-
-        def spy(pinv, flat, out=None):
-            products.append(len(flat))
-            return solver._product(pinv, flat, out=out)
-
-        monkeypatch.setattr(evaluate, "_product", spy)
+        [alone] = compare_configs(nmap, amap, {"dark": dark}, sigma=0.01, trials=2, seed=5)
+        assert (alone.note, alone.stats, noise_specs) == ("no-valid-pixels", None, [])
         table = compare_configs(nmap, amap, {"dark": dark, "ring": ring}, sigma=0.01, trials=2,
                                 seed=5)
         assert [row.note for row in table] == ["no-valid-pixels", "ok"]
         assert table[0].stats is None
-        assert products == [ring.m] * 2
+        assert [(spec.seed, spec.sigmas.size) for spec in noise_specs] == [
+            (stream_key(5, Stage.COMPARE, k), 3) for k in range(2)]
+        self.assert_stats_of(table[1], self.estimate_samples(nmap, amap, ring, 0.01, 5, 2))
 
     def configs(self):
         azimuths = np.radians([0.0, 90.0, 180.0, 270.0])
@@ -248,16 +245,29 @@ class TestCompareConfigs:
                          np.full(4, np.cos(slant))], axis=1)
         return {"triad": baseline_orthogonal_triad(), "ring": LightConfig(rows=ring)}
 
-    def map_path_samples(self, lights, sigma, keys):
-        """Errors pooled over one trial per key, each solved into maps from
-        ``clean + sigma * substream(key, i)`` and scored with compare_maps."""
-        nmap, amap = self.scene()
-        clean = render_stack(nmap, amap, lights)
+    @staticmethod
+    def clean_lit(nmap, amap, lights, sigma):
+        """Pixels valid in the ground truth whose clean images all reach tau."""
+        clean = render_stack(nmap, amap, lights).images.reshape(lights.m, -1)
+        return nmap.mask.reshape(-1) & (clean.min(axis=0) >= max(3.0 * sigma, 1e-6))
+
+    def estimate_samples(self, nmap, amap, lights, sigma, seed, trials):
+        """Errors pooled over trials of n_tilde = rho n + F sigma z at the
+        clean-lit pixels, z from substream(stream_key(seed, COMPARE, k), i) and
+        F = R^-1 for S = QR, less the draws facing away or degenerate."""
+        lit = self.clean_lit(nmap, amap, lights, sigma)
+        gt = nmap.normals.reshape(-1, 3).T[:, lit]
+        rho = amap.values.reshape(-1)[lit]
+        factor = np.linalg.inv(np.linalg.qr(lights.rows, mode="r"))
         pooled = []
-        for key in keys:
-            est, _ = solve_map(add_noise(clean, NoiseSpec.uniform(sigma, lights.m, seed=key)),
-                               lights)
-            pooled.append(compare_maps(est, nmap).error_map[est.mask & nmap.mask])
+        for k in range(trials):
+            z = sigma * noise_draws(stream_key(seed, Stage.COMPARE, k), 3, lit.size)[:, lit]
+            est = rho * gt
+            for j in range(3):
+                for i in range(j, 3):
+                    est[j] += factor[j, i] * z[i]
+            keep = (est[2] > 0.0) & (np.linalg.norm(est, axis=0) > 1e-9)
+            pooled.append(evaluate._angle_deg(est, gt)[keep])
         return np.concatenate(pooled)
 
     def assert_stats_of(self, row, samples):
@@ -271,20 +281,47 @@ class TestCompareConfigs:
         assert row.stats.count == samples.size
         assert np.array_equal(row.stats.histogram_counts, counts)
 
-    def test_matches_the_map_path(self):
-        # config c in trial k solves clean_c + sigma * substream(key_k, i) for
-        # i < m_c: every config of a trial shares that trial's key
+    def test_rows_are_the_estimate_draw_at_clean_lit_pixels(self):
+        # the sphere's rim holds valid pixels that some light leaves below tau
         nmap, amap = self.scene()
         sigma, trials, seed = 0.02, 3, 11
         configs = self.configs()
         table = compare_configs(nmap, amap, configs, sigma=sigma, trials=trials, seed=seed)
-        keys = [stream_key(seed, Stage.COMPARE, k) for k in range(trials)]
         for row, lights in zip(table, configs.values()):
-            self.assert_stats_of(row, self.map_path_samples(lights, sigma, keys))
+            lit = self.clean_lit(nmap, amap, lights, sigma)
+            assert 0 < np.count_nonzero(lit) < np.count_nonzero(nmap.mask)
+            self.assert_stats_of(row, self.estimate_samples(nmap, amap, lights, sigma, seed,
+                                                            trials))
 
-    def test_lit_pixels_that_fail_the_solve_are_dropped(self, monkeypatch):
+    def test_pixels_below_tau_in_the_clean_render_are_never_scored(self, monkeypatch):
+        # at sigma 0.05 a pixel whose clean image is just below tau passes the
+        # noisy tau test in some trial of the image path; no trial scores it here
+        nmap, amap = self.scene()
+        lights, sigma, trials, seed = self.configs()["ring"], 0.05, 4, 3
+        lit = self.clean_lit(nmap, amap, lights, sigma)
+        clean = render_stack(nmap, amap, lights)
+        keys = [stream_key(seed, Stage.COMPARE, k) for k in range(trials)]
+        noisy_lit = [solve_map(add_noise(clean, NoiseSpec.uniform(sigma, lights.m, seed=key)),
+                               lights)[0].mask.reshape(-1) for key in keys]
+        assert any((mask & ~lit).any() for mask in noisy_lit)
+        valid = np.flatnonzero(nmap.mask)
+        pixel_of = {nmap.normals.reshape(-1, 3)[p].tobytes(): p for p in valid}
+        assert len(pixel_of) == valid.size  # every pixel of the sphere has its own normal
+        scored, angle_deg = [], evaluate._angle_deg
+
+        def spy(est, gt, out=None):
+            scored.append([pixel_of[normal.tobytes()] for normal in np.transpose(gt)])
+            return angle_deg(est, gt, out=out)
+
+        monkeypatch.setattr(evaluate, "_angle_deg", spy)
+        [row] = compare_configs(nmap, amap, {"ring": lights}, sigma=sigma, trials=trials,
+                                seed=seed)
+        assert scored == [np.flatnonzero(lit).tolist()] * trials
+        assert row.stats.count <= trials * np.count_nonzero(lit)
+
+    def test_count_is_the_clean_lit_draws_less_the_dropped_ones(self, monkeypatch):
         # a plane 85 degrees from the camera axis, under a cone of lights about
-        # its normal: every pixel is lit, and the noise turns some estimates
+        # its normal: every pixel is clean-lit, and the noise turns some draws
         # away from the camera; blocks of 7 pixels compact around those
         nmap, amap = generate(SceneSpec(kind="plane", width=12, height=10, params={"p": 12.0},
                                         albedo=AlbedoSpec(value=0.9)))
@@ -294,32 +331,26 @@ class TestCompareConfigs:
                          for a in np.arange(4) * np.pi / 2])
         lights = LightConfig(rows=cone / np.linalg.norm(cone, axis=1, keepdims=True))
         sigma, trials, seed = 0.02, 3, 11
-        clean, pooled = render_stack(nmap, amap, lights), []
-        for k in range(trials):
-            noise = NoiseSpec.uniform(sigma, lights.m, seed=stream_key(seed, Stage.COMPARE, k))
-            est, _ = solve_map(add_noise(clean, noise), lights)
-            pooled.append(compare_maps(est, nmap).error_map[est.mask])
-        samples = np.concatenate(pooled)
+        assert self.clean_lit(nmap, amap, lights, sigma).all()
+        samples = self.estimate_samples(nmap, amap, lights, sigma, seed, trials)
         assert 0 < samples.size < trials * nmap.mask.size
         monkeypatch.setattr(core, "BLOCK_PIXELS", 7)
         [row] = compare_configs(nmap, amap, {"cone": lights}, sigma=sigma, trials=trials,
                                 seed=seed)
         self.assert_stats_of(row, samples)
 
-    def test_first_config_keeps_its_draws(self):
-        # before trials shared their noise, the k-th (config, trial) pair, over
-        # all configs in order, drew from key k: the first config's trials drew
-        # from keys 0 .. trials - 1, as every config's trials do now
+    def test_a_row_does_not_depend_on_the_configs_beside_it(self):
+        # every config of a trial reads the same draw at its own pixels
         nmap, amap = self.scene()
         sigma, trials, seed = 0.02, 3, 6
         triad = baseline_orthogonal_triad()
-        samples = self.map_path_samples(
-            triad, sigma, [stream_key(seed, Stage.COMPARE, k) for k in range(trials)])
+        samples = self.estimate_samples(nmap, amap, triad, sigma, seed, trials)
         [alone] = compare_configs(nmap, amap, {"triad": triad}, sigma=sigma, trials=trials,
                                   seed=seed)
-        first, _ = compare_configs(nmap, amap, {"triad": triad, "ring": self.configs()["ring"]},
-                                   sigma=sigma, trials=trials, seed=seed)
-        for row in (alone, first):
+        ring_first, _ = compare_configs(nmap, amap, {"ring": self.configs()["ring"],
+                                                     "triad": triad},
+                                        sigma=sigma, trials=trials, seed=seed)[::-1]
+        for row in (alone, ring_first):
             self.assert_stats_of(row, samples)
 
     def test_rig_listed_twice_gives_identical_rows(self):
@@ -377,22 +408,22 @@ class TestCompareConfigs:
         with pytest.raises(ValueError):
             HISTOGRAM_EDGES[0] = 1.0
 
-    def test_more_than_64_lights_draw_distinct_trial_streams(self, noise_specs):
+    def test_65_light_rig_is_scored_from_three_trial_streams(self, noise_specs):
         nmap, amap = self.scene()
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(65, 3))
         rows[:, 2] = np.abs(rows[:, 2]) + 1.0
-        configs = {"triad": baseline_orthogonal_triad(),
-                   "many": LightConfig(rows=rows / np.linalg.norm(rows, axis=1, keepdims=True))}
-        table = compare_configs(nmap, amap, configs, sigma=0.01, trials=2, seed=3)
+        many = LightConfig(rows=rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        table = compare_configs(nmap, amap, {"triad": baseline_orthogonal_triad(), "many": many},
+                                sigma=0.01, trials=2, seed=3)
         assert [row.name for row in table] == ["triad", "many"]
-        assert table[1].note == "ok" and table[1].stats.count > 0
-        # one draw of 65 images per trial, which the triad shares the first 3 of
+        self.assert_stats_of(table[1], self.estimate_samples(nmap, amap, many, 0.01, 3, 2))
+        # one draw of 3 normals per pixel per trial, whatever m, shared by both rows
         assert [(spec.seed, spec.sigmas.size) for spec in noise_specs] == [
-            (stream_key(3, Stage.COMPARE, k), 65) for k in range(2)]
+            (stream_key(3, Stage.COMPARE, k), 3) for k in range(2)]
         pooled = np.concatenate([noise_draws(spec.seed, spec.sigmas.size, 16).ravel()
                                  for spec in noise_specs])
-        assert np.unique(pooled).size == pooled.size  # no image of any trial repeats a draw
+        assert np.unique(pooled).size == pooled.size  # no stream of any trial repeats a draw
 
 
 def assert_same_rows(a, b):
@@ -427,3 +458,59 @@ def test_pooled_mse_matches_covariance_trace():
         sq_errors.append(np.einsum("ij,ij->i", diff, diff))
     measured = np.concatenate(sq_errors).mean()
     assert measured == pytest.approx(predicted, rel=0.2)
+
+
+def test_estimate_draw_agrees_with_the_image_path(monkeypatch):
+    """Oracle: compare_configs against render, add_noise, solve_map and
+    compare_maps, where no pixel is clamped or near shadow.
+
+    Fixed before the first run, and not to be re-picked if it fails: a 32 x 32
+    frontal plane of albedo 0.9; a ring of 6 lights at slant 30 degrees and
+    the orthogonal triad (every clean image is 0.78 or 0.52, tau 0.06);
+    sigma 0.02 and 20 trials per path; compare_configs under seed 2601, the
+    image path under keys stream_key(2602, COMPARE, k), so the two paths draw
+    independently.  Both paths must score all 20 x 1024 samples.  The row
+    means must agree within k = 4 standard errors, sd * sqrt(1/n + 1/n) with
+    sd the image path's sample deviation.  The residuals n_tilde - rho n that
+    compare_configs scores, whitened by the Cholesky factor of
+    oed.covariance(lights, sigma), must have second moments within 4 standard
+    errors of the identity: |C_ij - delta_ij| <= 4 sqrt((1 + delta_ij) / N).
+    """
+    nmap, amap = plane_maps(width=32, height=32)
+    azimuths = np.radians(np.arange(6) * 60.0)
+    slant = np.radians(30.0)
+    ring = LightConfig(rows=np.stack([np.sin(slant) * np.cos(azimuths),
+                                      np.sin(slant) * np.sin(azimuths),
+                                      np.full(6, np.cos(slant))], axis=1))
+    configs = {"ring6": ring, "triad": baseline_orthogonal_triad()}
+    sigma, trials, k_se = 0.02, 20, 4.0
+    scored, angle_deg = [], evaluate._angle_deg
+
+    def spy(est, gt, out=None):
+        scored.append((np.array(est), np.array(gt)))
+        return angle_deg(est, gt, out=out)
+
+    monkeypatch.setattr(evaluate, "_angle_deg", spy)
+    table = compare_configs(nmap, amap, configs, sigma=sigma, trials=trials, seed=2601)
+    monkeypatch.setattr(evaluate, "_angle_deg", angle_deg)
+    assert len(scored) == trials * len(configs)  # one block per trial and config
+    size = trials * nmap.mask.size
+    for c, (row, lights) in enumerate(zip(table, configs.values())):
+        image = []
+        for k in range(trials):
+            noise = NoiseSpec.uniform(sigma, lights.m, seed=stream_key(2602, Stage.COMPARE, k))
+            est, _ = solve_map(add_noise(render_stack(nmap, amap, lights), noise), lights)
+            image.append(compare_maps(est, nmap).error_map[est.mask])
+        image = np.concatenate(image)
+        assert row.stats.count == image.size == size
+        se = image.std(ddof=1) * np.sqrt(2.0 / size)
+        assert abs(row.stats.mean_deg - image.mean()) <= k_se * se, (row.name, se)
+
+        # trial by trial, the configs' scoring calls alternate
+        est = np.concatenate([e for e, _ in scored[c::len(configs)]], axis=1)
+        gt = np.concatenate([g for _, g in scored[c::len(configs)]], axis=1)
+        factor = np.linalg.cholesky(covariance(lights, np.full(lights.m, sigma)).matrix)
+        white = np.linalg.solve(factor, est - 0.9 * gt)
+        moments = white @ white.T / white.shape[1]
+        bound = k_se * np.sqrt((1.0 + np.eye(3)) / white.shape[1])
+        assert np.all(np.abs(moments - np.eye(3)) <= bound), (row.name, moments)

@@ -104,8 +104,8 @@ class TestNoCollisions:
                                             "params": {"curvature": 0.3}},
                            noise={"sigma": 0.02}, trials=2)
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == 0
-        # the initial render, the re-render, then one draw per comparison trial,
-        # which all 4 configs share
+        # the initial render, the re-render, then one draw of 3 normals per pixel
+        # per comparison trial, which all 4 configs share
         assert len(noise_specs) == 2 + 2
         assert [(spec.seed, spec.sigmas.size) for spec in noise_specs[2:]] == [
             (stream_key(cfg["seed"], Stage.COMPARE, k), 3) for k in range(2)]
