@@ -87,6 +87,13 @@ class InvalidSpecError(PhotometryError, ValueError):
     """A scene, run or call specification fails validation."""
 
 
+def _require_int(name: str, value) -> int:
+    """``value`` if it is an int or numpy integer (not a bool, not 64.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def freeze(a: np.ndarray) -> np.ndarray:
     """Seal a fresh buffer that nothing else holds: make its memory read-only
     and return a read-only view of it, which cannot be made writeable again."""

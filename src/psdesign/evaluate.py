@@ -3,9 +3,9 @@
 Angular errors are pooled per pixel per trial (not per-trial means), so
 medians and quantiles are meaningful.  Histograms use the fixed 0.5-degree
 bins of HISTOGRAM_EDGES on [0, 30] with a final overflow bin.  One pass over
-``pixel_blocks`` writes each block's errors and counts their bins; one
-partition of the samples then selects the median, p90 and maximum, the bits
-that np.median and np.percentile(., 90) give.
+the ``pixel_blocks`` of the scored pixels' frame indices writes each block's
+errors and counts their bins; one partition of the samples then selects the
+median, p90 and maximum, the bits that np.median and np.percentile(., 90) give.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .core import (
     InvalidSpecError,
     LightConfig,
     NormalMap,
+    _require_int,
     freeze,
     pixel_blocks,
     require_sigmas,
@@ -71,36 +72,29 @@ def _angle_deg(a, b, out=None):
     return np.degrees(np.arctan2(np.sqrt(cross_sq), ax * bx + ay * by + az * bz), out=out)
 
 
-def _score(gt_xyz, joint, out, estimate, starts=None) -> tuple[int, np.ndarray]:
-    """Write the angular errors at the ``joint`` pixels of (3, P) ground-truth
-    columns into ``out`` in row-major order; return their count and
-    ``_bin_counts``.  ``estimate(take, gt)`` gives the (3, n) estimates at a
-    block's joint pixels, whose ground truth is ``gt``, and which of them to
-    keep (None: all); ``take(a)`` gathers a frame array ``a`` there.  Block b
-    writes at ``starts[b]`` (default: its first pixel), then the blocks are
-    compacted."""
-    blocks = pixel_blocks(joint.size)
-    starts = [s.start for s in blocks] if starts is None else starts
+def _score(gt_xyz, pixels, out, estimate) -> tuple[int, np.ndarray]:
+    """Write the angular errors at the ascending frame indices ``pixels`` of
+    (3, P) ground-truth columns into ``out`` in their order; return their count
+    and ``_bin_counts``.  ``estimate(at, gt)`` gives the (3, n) estimates at a
+    block's indices ``at``, whose ground truth is ``gt``, and which of them to
+    keep (None: all).  Block ``s`` of ``pixels`` writes at ``out[s.start:]``,
+    then the blocks are compacted."""
+    blocks = pixel_blocks(pixels.size)
 
-    def score(block) -> tuple[int, np.ndarray]:
-        s, start = block
-        idx = np.flatnonzero(joint[s])
-
-        def take(a: np.ndarray) -> np.ndarray:  # a block with every pixel joint needs no gather
-            return a[s] if idx.size == s.stop - s.start else a[s].take(idx)
-
-        gt = [take(row) for row in gt_xyz]  # take along axis 1 would copy the strided block
-        est, ok = estimate(take, gt)
-        samples = _angle_deg(est, gt, out=out[start:start + idx.size])
+    def score(s: slice) -> tuple[int, np.ndarray]:
+        at = pixels[s]
+        gt = [row.take(at) for row in gt_xyz]
+        est, ok = estimate(at, gt)
+        samples = _angle_deg(est, gt, out=out[s])
         if ok is not None and not ok.all():  # np.compress buffers, so it may overlap its input
             samples = np.compress(ok, samples, out=samples[:np.count_nonzero(ok)])
         return samples.size, _bin_counts(samples)
 
-    with runner(joint.size) as run:
-        scored = run(score, zip(blocks, starts))
+    with runner(gt_xyz.shape[1]) as run:
+        scored = run(score, blocks)
     count = 0
-    for start, (n, _) in zip(starts, scored):  # numpy skips a copy onto itself
-        out[count:count + n] = out[start:start + n]
+    for s, (n, _) in zip(blocks, scored):  # numpy skips a copy onto itself
+        out[count:count + n] = out[s.start:s.start + n]
         count += n
     return count, np.sum([bins for _, bins in scored], axis=0)
 
@@ -150,16 +144,14 @@ def compare_maps(est: NormalMap, gt: NormalMap) -> AngularErrorStats:
         raise DimensionMismatchError(
             f"maps differ in size: {est.height}x{est.width} vs {gt.height}x{gt.width}"
         )
-    joint = (est.mask & gt.mask).reshape(-1)
-    # room for every pixel: pages never written are never committed
+    joint = np.flatnonzero(est.mask & gt.mask)
     samples = np.empty(joint.size)
     est_xyz = est.normals.reshape(-1, 3).T
-    count, counts = _score(gt.normals.reshape(-1, 3).T, joint, samples,
-                           lambda take, _: ([take(row) for row in est_xyz], None))
-    samples = samples[:count]
-    errors = np.full(joint.size, np.nan)
-    errors[joint] = samples
-    return _stats_from_samples(samples, errors.reshape(gt.mask.shape), counts)
+    _, counts = _score(gt.normals.reshape(-1, 3).T, joint, samples,
+                       lambda at, _: ([row.take(at) for row in est_xyz], None))
+    errors = np.full(gt.mask.shape, np.nan)
+    errors.reshape(-1)[joint] = samples
+    return _stats_from_samples(samples, errors, counts)
 
 
 @dataclass(frozen=True)
@@ -192,16 +184,17 @@ def compare_configs(
     Trial k draws sigma z once per pixel, row i from
     ``substream(stream_key(seed, Stage.COMPARE, k), i)``, and every config
     reads it (common random numbers), so a row does not depend on the configs
-    beside it.  Element-wise multiply-adds over ``pixel_blocks`` give the lit
-    set and n_tilde, so no byte depends on the block size or thread count.  As
-    in the solver, n_tilde with z <= 0 or |n_tilde| <= 1e-9 is dropped.  One
-    runner (see ``core.runner``) serves the call.  Samples pool across trials,
-    one partition of a row's pool selects its median, p90 and maximum, and the
-    stats carry no error map.  A config with no sample gets
-    note="no-valid-pixels" and no stats; if no config has a clean-lit pixel,
-    nothing is drawn.  Each row also records phi under the scene's prior.
+    beside it.  The lit set is marked once, as an index array that each trial
+    walks in blocks; element-wise multiply-adds over blocks give the set and
+    n_tilde, so no byte depends on the block size or thread count.  As in the
+    solver, n_tilde with z <= 0 or |n_tilde| <= 1e-9 is dropped.  One runner
+    (see ``core.runner``) serves the call.  Samples pool across trials, in a
+    row's pool of trials x its lit count; one partition of it selects its
+    median, p90 and maximum, and the stats carry no error map.  A config with
+    no sample gets note="no-valid-pixels" and no stats; if no config has a
+    clean-lit pixel, nothing is drawn.  Each row records phi under the prior.
     """
-    if trials < 1:
+    if _require_int("trials", trials) < 1:
         raise InvalidSpecError("trials must be >= 1")
     if albedo.values.shape != gt_normals.mask.shape:
         raise DimensionMismatchError(f"albedo map {albedo.values.shape} vs normal map "
@@ -212,34 +205,32 @@ def compare_configs(
     gt_mask, rho = gt_normals.mask.reshape(-1), albedo.values.reshape(-1)
     sigma, blocks = float(require_sigmas(sigma, 1)[0]), pixel_blocks(gt_mask.size)
     tau = max(3.0 * sigma, MIN_SHADOW_TAU)  # the solver's, at equal noise levels
-    lits, offsets = [], []
+    lits = []
     with runner(gt_mask.size) as run:
         for lights in configs.values():
             lit = np.empty(gt_mask.size, dtype=bool)
 
-            def mark(s: slice) -> int:  # run calls it before the loop moves on
+            def mark(s: slice) -> None:  # run calls it before the loop moves on
                 low = np.full(s.stop - s.start, np.inf)
                 for sx, sy, sz in lights.rows:
                     np.minimum(low, sx * gt_xyz[0, s] + sy * gt_xyz[1, s] + sz * gt_xyz[2, s],
                                out=low)
-                return np.count_nonzero(np.logical_and(rho[s] * low >= tau, gt_mask[s],
-                                                       out=lit[s]))
+                np.logical_and(rho[s] * low >= tau, gt_mask[s], out=lit[s])
 
             # invalid pixels hold unconstrained normals, and the mask drops them
             with np.errstate(invalid="ignore", over="ignore"):
-                offsets.append(np.cumsum([0, *run(mark, blocks)]))  # of each block's samples
-            lits.append(lit)
+                run(mark, blocks)
+            lits.append(np.flatnonzero(lit))
         factors = [np.linalg.inv(np.linalg.qr(c.rows, mode="r")) for c in configs.values()]
-        # a config pools at most this many errors; pages never written are never committed
-        pooled = [np.empty(trials * int(offset[-1])) for offset in offsets]
+        pooled = [np.empty(trials * lit.size) for lit in lits]  # room for every draw
         counts, bins = [0] * len(lits), [0] * len(lits)
         z = np.empty((3, gt_mask.size))
-        for k in range(trials if any(p.size for p in pooled) else 0):
+        for k in range(trials if any(lit.size for lit in lits) else 0):
             _fill_noise(z, NoiseSpec.uniform(sigma, 3, seed=stream_key(seed, Stage.COMPARE, k)))
-            for c, factor in enumerate(factors):
+            for c, (lit, factor) in enumerate(zip(lits, factors)):
 
-                def draw(take, gt: list) -> tuple[list, np.ndarray]:
-                    r, zs = take(rho), [take(row) for row in z]
+                def draw(at, gt: list) -> tuple[list, np.ndarray]:
+                    r, zs = rho.take(at), [row.take(at) for row in z]
                     est = [r * g for g in gt]
                     for j, e in enumerate(est):  # F is upper triangular
                         for i in range(j, 3):
@@ -247,9 +238,8 @@ def compare_configs(
                     norm_sq = est[0] * est[0] + est[1] * est[1] + est[2] * est[2]
                     return est, (est[2] > 0.0) & (norm_sq > DEGENERATE_NORM ** 2)
 
-                if pooled[c].size:
-                    n, hist = _score(gt_xyz, lits[c], pooled[c][counts[c]:], draw, offsets[c][:-1])
-                    counts[c], bins[c] = counts[c] + n, bins[c] + hist
+                n, hist = _score(gt_xyz, lit, pooled[c][counts[c]:], draw)
+                counts[c], bins[c] = counts[c] + n, bins[c] + hist
         stats = run(lambda c: _stats_from_samples(pooled[c][:counts[c]], None, bins[c])
                     if counts[c] else None, range(len(counts)))
     return [ConfigComparison(name=name, lights=lights, phi=phi_shape_aware(lights, prior),

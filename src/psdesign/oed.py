@@ -17,10 +17,12 @@ import numpy as np
 from .core import (
     AlphaOutOfRangeError,
     DegenerateVectorError,
+    DimensionMismatchError,
     EmptyMaskError,
     LightConfig,
     NormalMap,
     _readonly,
+    _require_int,
     require_sigmas,
     require_spd,
 )
@@ -134,6 +136,8 @@ def b_matrix(n_tilde) -> np.ndarray:
     form is what enters the shape-aware objective.
     """
     v = np.asarray(n_tilde, dtype=float)
+    if v.shape != (3,):
+        raise DimensionMismatchError(f"expected a 3-vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
     if norm <= DEGENERATE_NORM:
         raise DegenerateVectorError(f"cannot differentiate normalization at norm {norm:.3e}")
@@ -199,8 +203,10 @@ def phi_lower_bound(m_agg, m: int) -> float:
     smallest at G = m M^1/2 / tr M^1/2.  Every such G is a Gram S^T S of unit
     rows (Schur-Horn), so no rig scores below the bound, and rigs at it exist
     whenever M is positive definite.  Roundoff below zero in the eigenvalues
-    of M is clipped.
+    of M is clipped.  m < 3 raises DimensionMismatchError.
     """
+    if _require_int("m", m) < 3:
+        raise DimensionMismatchError(f"need at least 3 lights, got {m}")
     root_trace = float(np.sqrt(np.clip(np.linalg.eigvalsh(m_agg), 0.0, None)).sum())
     return root_trace * root_trace / m
 

@@ -27,6 +27,7 @@ from .core import (
     InvalidSpecError,
     LightConfig,
     RANK_RTOL,
+    _require_int,
     freeze,
     rank_ratio,
 )
@@ -53,9 +54,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if _require_int("max_iters", self.max_iters) < 1:
             raise InvalidSpecError("max_iters must be >= 1")
-        if self.restarts < 1:
+        if _require_int("restarts", self.restarts) < 1:
             raise InvalidSpecError("restarts must be >= 1")
 
 
@@ -105,7 +106,7 @@ def _renormalize_rows(rows: np.ndarray) -> np.ndarray:
 def random_unit_rows(m: int, rng: np.random.Generator) -> np.ndarray:
     """m directions i.i.d. uniform on the unit sphere (normalized Gaussian draws),
     full rank almost surely.  m < 3 raises DimensionMismatchError before any draw."""
-    if m < 3:
+    if _require_int("m", m) < 3:
         raise DimensionMismatchError(f"need at least 3 lights, got {m}")
     return _renormalize_rows(rng.normal(size=(m, 3)))
 
@@ -225,9 +226,9 @@ def baseline_random(
     full rank almost surely for m >= 3; m < 3 raises DimensionMismatchError
     before any draw.
     """
-    if count < 1:
+    if _require_int("count", count) < 1:
         raise InvalidSpecError("count must be >= 1")
-    if m < 3:
+    if _require_int("m", m) < 3:
         raise DimensionMismatchError(f"need at least 3 lights, got {m}")
     rows = _renormalize_rows(
         substream(stream_key(seed, Stage.BASELINE, 0), 0).normal(size=(count, m, 3)))
@@ -244,7 +245,7 @@ def baseline_heuristic_spread(m: int) -> LightConfig:
     m = 3 the rows are the orthogonal triad's bits.  m < 3 raises
     DimensionMismatchError.
     """
-    if m < 3:
+    if _require_int("m", m) < 3:
         raise DimensionMismatchError(f"need at least 3 lights, got {m}")
     azimuths = 2.0 * np.pi * np.arange(m) / m
     radial = np.sqrt(2.0 / 3.0)

@@ -27,6 +27,7 @@ from .core import (
     EmptyMaskError,
     InvalidSpecError,
     NormalMap,
+    _require_int,
     freeze,
 )
 
@@ -37,13 +38,6 @@ SCENE_PARAMS = {"sphere": {"radius": 0.9}, "paraboloid": {"curvature": 0.5},
                 "plane": {"p": 0.0, "q": 0.0}, "from_file": {"path": None}}
 SCENE_KINDS = tuple(SCENE_PARAMS)
 INGEST_NORM_FLOOR = 1e-12
-
-
-def _require_int(name: str, value) -> int:
-    """``value`` if it is an int or numpy integer (not a bool, not 64.0)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from psdesign import (
     ShapePrior,
     SingularLightMatrixError,
     Stage,
+    b_matrix,
+    baseline_heuristic_spread,
     baseline_random,
     chi_square_quantile,
     compare_configs,
@@ -30,6 +32,7 @@ from psdesign import (
     export_normal_map,
     generate,
     normalize,
+    phi_lower_bound,
     render_pixel,
     solve_exact,
     solve_lsq,
@@ -303,6 +306,9 @@ BAD_INPUT = {
                    DimensionMismatchError),
     "2-D sigmas": (lambda _: require_sigmas(np.ones((3, 1))), DimensionMismatchError),
     "normalize a 2-vector": (lambda _: normalize([1.0, 2.0]), DimensionMismatchError),
+    "phi lower bound of 0 lights": (lambda _: phi_lower_bound(np.eye(3), 0),
+                                    DimensionMismatchError),
+    "b_matrix of a 2-vector": (lambda _: b_matrix([1.0, 2.0]), DimensionMismatchError),
 }
 
 
@@ -322,6 +328,15 @@ ARGUMENT_CHECKS = {
     "zero random rigs": lambda: baseline_random(0, 3, ShapePrior.identity()),
     "stream index 2^56": lambda: stream_key(1, Stage.NOISE, 2**56),
     "albedo 0": lambda: render_pixel([0.0, 0.0, 1.0], 0.0, [0.0, 0.0, 1.0]),
+    "2.5 max_iters": lambda: OptimizerConfig(max_iters=2.5),
+    "2.5 restarts": lambda: OptimizerConfig(restarts=2.5),
+    "2.0 comparison trials": lambda: compare_configs(*_plane(), {"triad": TRIAD}, 0.01,
+                                                     trials=2.0, seed=1),
+    "True comparison trials": lambda: compare_configs(*_plane(), {"triad": TRIAD}, 0.01,
+                                                      trials=True, seed=1),
+    "2.5 random rigs": lambda: baseline_random(2.5, 3, ShapePrior.identity()),
+    "random rigs of 3.5 lights": lambda: baseline_random(2, 3.5, ShapePrior.identity()),
+    "spread of 6.5 lights": lambda: baseline_heuristic_spread(6.5),
 }
 
 

@@ -28,6 +28,7 @@ from psdesign.oed import build_shape_prior
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
 
 from conftest import noise_draws
+from test_blocks import reach_threads
 
 
 class TestAngularError:
@@ -319,17 +320,22 @@ class TestCompareConfigs:
         assert scored == [np.flatnonzero(lit).tolist()] * trials
         assert row.stats.count <= trials * np.count_nonzero(lit)
 
-    def test_count_is_the_clean_lit_draws_less_the_dropped_ones(self, monkeypatch):
-        # a plane 85 degrees from the camera axis, under a cone of lights about
-        # its normal: every pixel is clean-lit, and the noise turns some draws
-        # away from the camera; blocks of 7 pixels compact around those
+    @staticmethod
+    def tilted_plane():
+        """A plane 85 degrees from the camera axis and a cone of 4 lights about
+        its normal, which light every pixel."""
         nmap, amap = generate(SceneSpec(kind="plane", width=12, height=10, params={"p": 12.0},
                                         albedo=AlbedoSpec(value=0.9)))
         n, side = nmap.normals[0, 0], np.array([0.0, 1.0, 0.0])
         cone = np.array([np.cos(0.35) * n + np.sin(0.35) * (np.cos(a) * side + np.sin(a)
                                                             * np.cross(n, side))
                          for a in np.arange(4) * np.pi / 2])
-        lights = LightConfig(rows=cone / np.linalg.norm(cone, axis=1, keepdims=True))
+        return nmap, amap, LightConfig(rows=cone / np.linalg.norm(cone, axis=1, keepdims=True))
+
+    def test_count_is_the_clean_lit_draws_less_the_dropped_ones(self, monkeypatch):
+        # every pixel of the tilted plane is clean-lit, and the noise turns some
+        # draws away from the camera; blocks of 7 pixels compact around those
+        nmap, amap, lights = self.tilted_plane()
         sigma, trials, seed = 0.02, 3, 11
         assert self.clean_lit(nmap, amap, lights, sigma).all()
         samples = self.estimate_samples(nmap, amap, lights, sigma, seed, trials)
@@ -337,6 +343,18 @@ class TestCompareConfigs:
         monkeypatch.setattr(core, "BLOCK_PIXELS", 7)
         [row] = compare_configs(nmap, amap, {"cone": lights}, sigma=sigma, trials=trials,
                                 seed=seed)
+        self.assert_stats_of(row, samples)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_dropped_draws_compact_across_blocks_on_threads(self, monkeypatch, cpus):
+        # blocks of 7 indices, each compacting around its own dropped draws, on
+        # up to 3 threads, then compacted in order
+        nmap, amap, lights = self.tilted_plane()
+        samples = self.estimate_samples(nmap, amap, lights, 0.02, 11, 3)
+        monkeypatch.setattr(core, "BLOCK_PIXELS", 7)
+        pools = reach_threads(monkeypatch, cpus)
+        [row] = compare_configs(nmap, amap, {"cone": lights}, sigma=0.02, trials=3, seed=11)
+        assert len(pools) == (cpus > 1)
         self.assert_stats_of(row, samples)
 
     def test_a_row_does_not_depend_on_the_configs_beside_it(self):
