@@ -119,23 +119,18 @@ def render_stack(nmap: NormalMap, amap: AlbedoMap, lights: LightConfig) -> Inten
                           sigmas=np.zeros(lights.m))
 
 
-def _fill_noise(out: np.ndarray, noise: NoiseSpec, clean: np.ndarray | None = None) -> None:
-    """Write sigma_i * substream(noise.seed, i).standard_normal() into row i
-    of the (m, P) ``out``, plus ``clean[i]`` when given; an image with sigma 0
-    draws nothing.  Each image is one task of a runner; the streams are
-    independent, so the bytes do not depend on the thread count."""
-    def fill(i: int) -> None:
-        sigma = noise.sigmas[i]
-        if sigma == 0.0:
-            out[i] = 0.0 if clean is None else clean[i]
-            return
-        substream(noise.seed, i).standard_normal(out=out[i])
-        out[i] *= sigma
-        if clean is not None:
-            out[i] += clean[i]
-
-    with runner(out.shape[-1]) as run:
-        run(fill, range(len(out)))
+def _fill_image(out: np.ndarray, noise: NoiseSpec, i: int,
+                clean: np.ndarray | None = None) -> None:
+    """Write sigma_i * substream(noise.seed, i).standard_normal() into the (P,)
+    ``out``, plus ``clean`` when given; an image with sigma 0 draws nothing."""
+    sigma = noise.sigmas[i]
+    if sigma == 0.0:
+        out[...] = 0.0 if clean is None else clean
+        return
+    substream(noise.seed, i).standard_normal(out=out)
+    out *= sigma
+    if clean is not None:
+        out += clean
 
 
 def add_noise(stack: IntensityStack, noise: NoiseSpec) -> IntensityStack:
@@ -143,10 +138,13 @@ def add_noise(stack: IntensityStack, noise: NoiseSpec) -> IntensityStack:
 
     Deterministic given the seed: image i is, bit for bit,
     ``clean_i + substream(seed, i).normal(0.0, sigma_i, shape)``, written once
-    into a new stack by _fill_noise, whatever the thread count.  Results are
+    into a new stack by _fill_image, one runner task per image; the streams are
+    independent, so the bytes do not depend on the thread count.  Results are
     not clamped, so negative intensities can occur near shadow.
     """
     require_sigmas(noise.sigmas, stack.m)
     images = np.empty(stack.images.shape)
-    _fill_noise(images.reshape(stack.m, -1), noise, stack.images.reshape(stack.m, -1))
+    out, clean = images.reshape(stack.m, -1), stack.images.reshape(stack.m, -1)
+    with runner(out.shape[1]) as run:
+        run(lambda i: _fill_image(out[i], noise, i, clean[i]), range(stack.m))
     return IntensityStack(images=freeze(images), sigmas=noise.sigmas)

@@ -50,17 +50,19 @@ def directions(draws: np.ndarray) -> np.ndarray:
 def noise_specs(monkeypatch):
     """Records the NoiseSpec of every add_noise call the CLI makes and of every
     trial draw of compare_configs (3 sigma-scaled normals per pixel, one stream
-    each, shared by the trial's configs), in call order."""
+    each, shared by the trial's configs), in call order; a trial's spec is
+    recorded as its stream 0 is drawn."""
     specs = []
 
     def recording(stack, noise):
         specs.append(noise)
         return add_noise(stack, noise)
 
-    def recording_fill(out, noise, clean=None):
-        specs.append(noise)
-        return forward._fill_noise(out, noise, clean)
+    def recording_image(out, noise, i, clean=None):
+        if i == 0:
+            specs.append(noise)
+        return forward._fill_image(out, noise, i, clean)
 
     monkeypatch.setattr(cli, "add_noise", recording)
-    monkeypatch.setattr(evaluate, "_fill_noise", recording_fill)
+    monkeypatch.setattr(evaluate, "_fill_image", recording_image)
     return specs

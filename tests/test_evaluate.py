@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -49,6 +50,26 @@ class TestAngularError:
         b = (0.0, np.sin(theta), np.cos(theta))
         assert angular_error((0, 0, 1), b) == pytest.approx(1e-6, abs=1e-9)
 
+    def test_degrees_are_np_degrees_bits(self):
+        # a = e_x and b = (x, y, 0) give atan2(sqrt(y * y), x): 0, pi, pi / 2,
+        # about 1e-300, a subnormal angle, just below pi, then angles across [0, pi]
+        theta = np.random.default_rng(5).uniform(0.0, np.pi, 100_000)
+        x = np.concatenate([[1.0, -1.0, 0.0, 1e150, 1e160, -1.0], np.cos(theta)])
+        y = np.concatenate([[0.0, 0.0, 1.0, 1e-150, 1e-160, 5e-16], np.sin(theta)])
+        radians = np.arctan2(np.sqrt(y * y), x)
+        assert (radians[0], radians[1], radians[2]) == (0.0, np.pi, np.pi / 2)
+        assert np.finfo(float).tiny < radians[3] < 1e-299
+        assert 0.0 < radians[4] < np.finfo(float).tiny
+        assert np.pi - 1e-15 < radians[5] < np.pi
+        expected = np.degrees(radians)
+        a = np.stack([np.ones_like(x), np.zeros_like(x), np.zeros_like(x)])
+        b = np.stack([x, y, np.zeros_like(x)])
+        out = np.empty_like(x)
+        assert evaluate._angle_deg(a, b, out=out) is out
+        assert out.tobytes() == evaluate._angle_deg(a, b).tobytes() == expected.tobytes()
+        for k in range(6):
+            assert np.float64(angular_error(a[:, k], b[:, k])).tobytes() == expected[k].tobytes()
+
 
 def plane_maps(width=12, height=10):
     return generate(SceneSpec(kind="plane", width=width, height=height,
@@ -82,6 +103,60 @@ def test_one_selection_gives_numpys_statistics(values):
                        np.count_nonzero(samples > HISTOGRAM_EDGES[-1]))
     assert np.array_equal(stats.histogram_counts, counts)
     assert stats.count == samples.size
+
+
+def five_rank_selection(samples: np.ndarray) -> list:
+    """The median, p90 and maximum as one partition at all five ranks selects
+    them, on a copy of ``samples``."""
+    n, samples = samples.size, samples.copy()
+    rank = (n - 1) * 0.9
+    lo, hi, t = int(rank), min(int(rank) + 1, n - 1), rank - int(rank)
+    samples.partition(sorted({(n - 1) // 2, n // 2, lo, hi, n - 1}))
+    a, b = samples[lo], samples[hi]
+    return [(samples[(n - 1) // 2] + samples[n // 2]) / 2.0,
+            b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t, samples[n - 1]]
+
+
+@pytest.mark.parametrize("nan_share", [0.0, 1e-9, 0.15, 0.6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 129, 130, 65_536, 65_537, 300_000, 300_001])
+def test_selection_at_scale_gives_the_five_rank_bits(n, nan_share):
+    # half the samples are bin edges and their neighbours (ties), half are
+    # angles in [0, 180]; NaN is absent, one sample, above p90, or past the median
+    rng = np.random.default_rng([n, int(nan_share * 100)])
+    samples = np.where(rng.random(n) < 0.5, rng.choice(EDGE_VALUES, n), rng.uniform(0.0, 180.0, n))
+    samples[rng.permutation(n)[:max(int(nan_share * n), nan_share > 0)]] = np.nan
+    stats = _stats_from_samples(samples.copy(), None)
+    found = [stats.mean_deg, stats.median_deg, stats.p90_deg, stats.max_deg]
+    reference = [samples.mean(), *five_rank_selection(samples)]
+    assert [np.float64(x).tobytes() for x in found] == [x.tobytes() for x in reference]
+    if nan_share == 0.0:
+        numpy_stats = [np.median(samples), np.percentile(samples, 90.0), samples.max()]
+        assert [np.float64(x).tobytes() for x in found[1:]] == [x.tobytes() for x in numpy_stats]
+    else:  # NaN sorts last: it is the maximum, and the median once it reaches rank n // 2
+        nans = np.count_nonzero(np.isnan(samples))
+        assert np.isnan(stats.max_deg) and np.isnan(stats.median_deg) == (n // 2 >= n - nans)
+
+
+ORDERS = {
+    "ascending": lambda n: np.arange(n) * 0.25,
+    "descending": lambda n: np.arange(n)[::-1] * 0.25,
+    "sawtooth": lambda n: np.arange(n) % 97 * 0.5,
+    "organ pipe": lambda n: np.abs(np.arange(n) - n // 2) * 0.5,
+}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("n", [4416, 6398, 30_216, 65_536, 300_001])
+def test_selection_of_ordered_samples_gives_the_five_rank_bits(n, order):
+    # on ordered input a selection can leave the ranks beside its own out of
+    # place (numpy 2.4 on AVX-512 does at several of these sizes), so the
+    # lower median, p90's upper neighbour and the maximum each need their step
+    samples = ORDERS[order](n)
+    stats = _stats_from_samples(samples.copy(), None)
+    found = [stats.median_deg, stats.p90_deg, stats.max_deg]
+    for reference in (five_rank_selection(samples),
+                      [np.median(samples), np.percentile(samples, 90.0), samples.max()]):
+        assert [np.float64(x).tobytes() for x in found] == [x.tobytes() for x in reference]
 
 
 def test_bin_counts_are_numpys_histogram_past_its_block():
@@ -356,6 +431,45 @@ class TestCompareConfigs:
         [row] = compare_configs(nmap, amap, {"cone": lights}, sigma=0.02, trials=3, seed=11)
         assert len(pools) == (cpus > 1)
         self.assert_stats_of(row, samples)
+
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_trial_draws_stream_2_ahead_into_a_spare_row(self, monkeypatch, noise_specs, cpus,
+                                                          block):
+        # trial k draws streams 0 and 1 in one run; stream 2 of trial k + 1 is
+        # drawn during trial k's scoring run into the row trial k does not read,
+        # and the two rows trade places, so stream 2 alternates between them
+        nmap, amap = self.scene()
+        configs, sigma, trials, seed = self.configs(), 0.02, 5, 13
+        references = [self.estimate_samples(nmap, amap, lights, sigma, seed, trials)
+                      for lights in configs.values()]
+        keys = [stream_key(seed, Stage.COMPARE, k) for k in range(trials)]
+        monkeypatch.setattr(core, "BLOCK_PIXELS", block)
+        pools = reach_threads(monkeypatch, cpus)
+        draws, fill = [], evaluate._fill_image
+
+        def spy(out, noise, i, clean=None):
+            draws.append((keys.index(noise.seed), i, out.__array_interface__["data"][0]))
+            return fill(out, noise, i, clean)
+
+        monkeypatch.setattr(evaluate, "_fill_image", spy)
+        table = compare_configs(nmap, amap, configs, sigma=sigma, trials=trials, seed=seed)
+        assert len(pools) == (cpus > 1)
+        for row, samples in zip(table, references):
+            self.assert_stats_of(row, samples)
+        assert [(spec.seed, spec.sigmas.size) for spec in noise_specs] == [(key, 3) for key in keys]
+        runs = [{(0, 0), (0, 1), (0, 2)}]
+        for k in range(1, trials):
+            runs += [{(k, 2)}, {(k, 0), (k, 1)}]
+        drawn = iter([(k, i) for k, i, _ in draws])
+        assert [set(islice(drawn, len(run))) for run in runs] == runs
+        assert next(drawn, None) is None
+        row = {(k, i): address for k, i, address in draws}
+        assert {row[k, 0] for k in range(trials)} == {row[0, 0]}
+        assert {row[k, 1] for k in range(trials)} == {row[0, 1]}
+        stream_2 = [row[k, 2] for k in range(trials)]
+        assert len(set(stream_2) | {row[0, 0], row[0, 1]}) == 4
+        assert all(a != b for a, b in zip(stream_2, stream_2[1:]))
 
     def test_a_row_does_not_depend_on_the_configs_beside_it(self):
         # every config of a trial reads the same draw at its own pixels
