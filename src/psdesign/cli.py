@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import jsonschema
 import numpy as np
@@ -268,16 +268,10 @@ def _ensure_outdir(path) -> str:
 
 
 def _scene_json(spec: SceneSpec) -> dict:
-    albedo = {"kind": spec.albedo.kind, "value": spec.albedo.value}
-    if spec.albedo.kind == "checkerboard":
-        albedo.update({"value2": spec.albedo.value2, "cell": spec.albedo.cell})
-    return {
-        "kind": spec.kind,
-        "width": spec.width,
-        "height": spec.height,
-        "params": {k: v for k, v in spec.params.items()},
-        "albedo": albedo,
-    }
+    scene = asdict(spec)
+    if spec.albedo.kind == "constant":  # REPORT_SCHEMA admits no value2 or cell here
+        del scene["albedo"]["value2"], scene["albedo"]["cell"]
+    return scene
 
 
 def _stats_json(stats: AngularErrorStats | None) -> dict:

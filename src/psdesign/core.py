@@ -19,11 +19,12 @@ The per-pixel layers walk a frame in ``pixel_blocks``: the temporaries of one
 block stay in the L2 cache instead of each being a fresh whole-frame array.
 Blocks write disjoint outputs, so a layer hands them to a ``runner``, which
 spreads them over the CPUs; the bytes do not depend on the thread count.
+Each call opens its own runner, whose threads end with it: no runner is
+shared between calls, and the module holds no mutable state.
 """
 
 from __future__ import annotations
 
-import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -156,32 +157,21 @@ def _run(pool, helpers: int, task, items) -> list:
     return results
 
 
-# the run of the open runner in this context, which runners opened inside it reuse
-_OPEN_RUN = contextvars.ContextVar("psdesign_open_run", default=None)
-
-
 @contextmanager
 def runner(pixels: int):
     """Yield ``run(task, items)``, which returns ``[task(item) for item in
     items]`` for tasks with disjoint outputs on a frame of ``pixels``.  From
     PARALLEL_MIN_PIXELS on, with more than one CPU, the calling thread runs
     the tasks beside up to CPUs - 1 threads, each under the caller's
-    ``np.errstate``.  A runner opened inside another on the same thread
-    reuses its threads, which end with the outer one.  A task's exception is
-    raised once the tasks already started have finished.  Smaller frames, or
-    one CPU, run a plain loop."""
+    ``np.errstate``, of a pool that the runner opens and closes on exit.  A
+    task's exception is raised once the tasks already started have finished.
+    Smaller frames, or one CPU, run a plain loop."""
     helpers = _cpu_count() - 1
     if helpers < 1 or pixels < PARALLEL_MIN_PIXELS:
         yield partial(_run, None, 0)
-    elif _OPEN_RUN.get() is not None:
-        yield _OPEN_RUN.get()
     else:
         with ThreadPoolExecutor(max_workers=helpers, thread_name_prefix="psdesign") as pool:
-            token = _OPEN_RUN.set(partial(_run, pool, helpers))
-            try:
-                yield _OPEN_RUN.get()
-            finally:
-                _OPEN_RUN.reset(token)
+            yield partial(_run, pool, helpers)
 
 
 def require_sigmas(sigmas, count: int | None = None, positive: bool = False) -> np.ndarray:

@@ -20,6 +20,7 @@ from .core import (
     LightConfig,
     NormalMap,
     _readonly,
+    _require_int,
     freeze,
     pixel_blocks,
     require_sigmas,
@@ -44,9 +45,9 @@ def stream_key(seed: int, stage: Stage, index: int) -> int:
 
     Distinct (seed mod 2^64, stage, index) give distinct keys; the NOISE key
     with index 0 is the run seed itself."""
-    if not 0 <= index < 1 << 56:
+    if not 0 <= _require_int("stream index", index) < 1 << 56:
         raise InvalidSpecError(f"stream index must be in [0, 2^56), got {index}")
-    return int(seed) % (1 << 64) | (int(stage) << 56 | int(index)) << 64
+    return int(_require_int("seed", seed)) % (1 << 64) | (int(stage) << 56 | int(index)) << 64
 
 
 def substream(key: int, index: int) -> np.random.Generator:
@@ -56,11 +57,13 @@ def substream(key: int, index: int) -> np.random.Generator:
     distinct keys give independent streams (Salmon et al., SC11).  An int
     outside [0, 2^128) is a run seed, taken mod 2^64 as by stream_key, so
     ``substream(seed, 0)`` is Philox keyed by the seed."""
-    key = int(key)
+    key, index = int(_require_int("key", key)), int(_require_int("stream index", index))
+    if not 0 <= index < 1 << 128:
+        raise InvalidSpecError(f"stream index must be in [0, 2^128), got {index}")
     if not 0 <= key < 1 << 128:
         key %= 1 << 64
     # the counter that jumped(index) sets, without building a second generator
-    return np.random.Generator(np.random.Philox(key=key, counter=int(index) << 128))
+    return np.random.Generator(np.random.Philox(key=key, counter=index << 128))
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sigmas", _readonly(require_sigmas(self.sigmas)))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", int(_require_int("seed", self.seed)))
 
     @classmethod
     def uniform(cls, sigma: float, m: int, seed: int = 0) -> "NoiseSpec":

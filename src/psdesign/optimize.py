@@ -58,6 +58,7 @@ class OptimizerConfig:
             raise InvalidSpecError("max_iters must be >= 1")
         if _require_int("restarts", self.restarts) < 1:
             raise InvalidSpecError("restarts must be >= 1")
+        _require_int("seed", self.seed)
 
 
 @dataclass(frozen=True)

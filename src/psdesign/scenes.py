@@ -53,8 +53,8 @@ class AlbedoSpec:
         if self.kind not in ("constant", "checkerboard"):
             raise InvalidSpecError(f"unknown albedo kind {self.kind!r}")
         for v in (self.value, self.value2) if self.kind == "checkerboard" else (self.value,):
-            if not 0.0 < v <= 1.0:
-                raise InvalidSpecError(f"albedo values must be in (0, 1], got {v}")
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and 0.0 < v <= 1.0):
+                raise InvalidSpecError(f"albedo values must be numbers in (0, 1], got {v!r}")
         if _require_int("cell", self.cell) < 1 and self.kind == "checkerboard":
             raise InvalidSpecError("checkerboard cell must be >= 1")
 
@@ -86,9 +86,9 @@ class SceneSpec:
         for key, value in self.params.items():
             if key not in SCENE_PARAMS[self.kind]:
                 raise InvalidSpecError(f"{self.kind} scene has no parameter {key!r}")
-            # a finite float64: NaN fails, and so does an int that float() overflows
-            if key != "path" and not (isinstance(value, numbers.Real)
-                                      and abs(value) <= sys.float_info.max):
+            # a finite float64: NaN fails, and so do a bool and an int that float() overflows
+            if key != "path" and (isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max)):
                 raise InvalidSpecError(f"parameter {key!r} must be a finite number, got {value!r}")
         if self.kind == "sphere" and not 0.0 < params["radius"] <= 1.0:
             raise InvalidSpecError(f"sphere radius must be in (0, 1], got {params['radius']}")

@@ -144,10 +144,10 @@ def solve_map(stack: IntensityStack, lights: LightConfig) -> tuple[NormalMap, Al
     if stack.m != lights.m:
         raise DimensionMismatchError(f"stack has {stack.m} images but config has {lights.m} lights")
     h, w_px = stack.height, stack.width
-    with runner(h * w_px):  # one for the solve and the map's checks
-        normals, albedo, valid = _solve_columns(stack.images.reshape(stack.m, -1), lights,
-                                                stack.sigmas, unit=True)
-        # the maps adopt these fresh buffers; (3, P) is the map's own layout
-        nmap = NormalMap(normals=freeze(normals).reshape(3, h, w_px).transpose(1, 2, 0),
-                         mask=freeze(valid).reshape(h, w_px))
+    normals, albedo, valid = _solve_columns(stack.images.reshape(stack.m, -1), lights,
+                                            stack.sigmas, unit=True)
+    # the maps adopt these fresh buffers; (3, P) is the map's own layout.  The
+    # solve and the map's checks each run on a runner of their own
+    nmap = NormalMap(normals=freeze(normals).reshape(3, h, w_px).transpose(1, 2, 0),
+                     mask=freeze(valid).reshape(h, w_px))
     return nmap, AlbedoMap(values=freeze(albedo).reshape(h, w_px))

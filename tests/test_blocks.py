@@ -21,6 +21,7 @@ from psdesign import (
 )
 from psdesign import core, solver
 from psdesign.scenes import AlbedoSpec, SceneSpec, export_normal_map, generate, ingest_normal_map
+from test_forward import psdesign_threads
 
 DEFAULT = core.BLOCK_PIXELS
 
@@ -215,3 +216,20 @@ def test_solve_map_adopts_its_buffers(monkeypatch):
     assert np.shares_memory(rows_of(est), normals)
     assert np.shares_memory(est.mask, ok)
     assert np.shares_memory(albedo.values, norms)
+
+
+def test_solve_map_opens_a_pool_for_the_solve_and_one_for_the_map_checks(monkeypatch):
+    # the solve and the map's checks each run on a runner of their own, and
+    # each pool's threads end before solve_map returns
+    nmap, amap = sphere(20, 30)
+    lights = RIGS["cap4"]
+    stack = render_stack(nmap, amap, lights)
+    monkeypatch.setattr(core, "BLOCK_PIXELS", 64)  # 10 blocks: every pool starts a thread
+    outputs = []
+    for cpus, opened in ((1, 0), (2, 2)):
+        pools = reach_threads(monkeypatch, cpus)
+        est, albedo = solve_map(stack, lights)
+        assert len(pools) == opened, f"{cpus} CPUs"
+        assert psdesign_threads() == []
+        outputs.append((est.normals.tobytes(), est.mask.tobytes(), albedo.values.tobytes()))
+    assert outputs[0] == outputs[1]

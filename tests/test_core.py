@@ -37,6 +37,7 @@ from psdesign import (
     solve_exact,
     solve_lsq,
     stream_key,
+    substream,
 )
 from psdesign import core
 from psdesign.core import freeze, require_sigmas, require_spd, InvalidSpecError
@@ -337,6 +338,21 @@ ARGUMENT_CHECKS = {
     "2.5 random rigs": lambda: baseline_random(2.5, 3, ShapePrior.identity()),
     "random rigs of 3.5 lights": lambda: baseline_random(2, 3.5, ShapePrior.identity()),
     "spread of 6.5 lights": lambda: baseline_heuristic_spread(6.5),
+    # seeds, keys and stream indices are integers too, never truncated
+    "1.5 optimizer seed": lambda: OptimizerConfig(seed=1.5),
+    "True optimizer seed": lambda: OptimizerConfig(seed=True),
+    "string optimizer seed": lambda: OptimizerConfig(seed="3"),
+    "1.5 noise seed": lambda: NoiseSpec.uniform(0.1, 3, seed=1.5),
+    "1.5 stream seed": lambda: stream_key(1.5, Stage.NOISE, 0),
+    "1.5 stream index": lambda: stream_key(1, Stage.NOISE, 1.5),
+    "2.5 substream key": lambda: substream(2.5, 0),
+    "0.5 substream index": lambda: substream(1, 0.5),
+    "substream index -1": lambda: substream(1, -1),
+    # an albedo is a number, and a bool is not one
+    "True albedo": lambda: AlbedoSpec(value=True),
+    "True second checkerboard albedo": lambda: AlbedoSpec(kind="checkerboard", value=0.5,
+                                                          value2=True),
+    "string albedo": lambda: AlbedoSpec(value="0.5"),
 }
 
 

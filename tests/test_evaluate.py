@@ -314,6 +314,13 @@ class TestCompareConfigs:
             (stream_key(5, Stage.COMPARE, k), 3) for k in range(2)]
         self.assert_stats_of(table[1], self.estimate_samples(nmap, amap, ring, 0.01, 5, 2))
 
+    def test_albedo_map_of_another_shape_is_rejected_before_any_draw(self, noise_specs):
+        nmap, _ = self.scene()
+        wide = AlbedoMap(values=np.full((nmap.height, nmap.width + 1), 0.9))
+        with pytest.raises(DimensionMismatchError, match="albedo map"):
+            compare_configs(nmap, wide, self.configs(), sigma=0.01, trials=2, seed=5)
+        assert noise_specs == []
+
     def configs(self):
         azimuths = np.radians([0.0, 90.0, 180.0, 270.0])
         slant = np.radians(30.0)

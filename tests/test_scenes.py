@@ -199,10 +199,13 @@ class TestGenerate:
         ("plane", {"q": -np.inf}, "q"),
         ("paraboloid", {"curvature": 10**400}, "curvature"),
         ("sphere", {"radius": "0.5"}, "radius"),
+        ("sphere", {"radius": True}, "radius"),
+        ("plane", {"p": 0.1, "q": False}, "q"),
         ("from_file", {}, "path"),
         ("from_file", {"path": ""}, "path"),
     ], ids=["misspelt radius", "radius of a plane", "curvature of a file", "nan curvature",
-            "inf p", "-inf q", "int past float64", "string radius", "no path", "empty path"])
+            "inf p", "-inf q", "int past float64", "string radius", "True radius", "False q",
+            "no path", "empty path"])
     def test_bad_params_rejected_where_the_spec_is_built(self, kind, params, key):
         # a misspelt key rendered the default sphere, and a non-finite one
         # failed inside generate with a message about unit normals
