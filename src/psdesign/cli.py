@@ -156,6 +156,8 @@ REPORT_SCHEMA = {
     **_record(
         seed=_INTEGER, alpha=_ALPHA, sigma=_NON_NEGATIVE, trials=_TRIALS, scene=_SCENE,
         initial_lights=_LIGHT_ROWS, optimized_lights=_LIGHT_ROWS,
+        prior=_record(pixel_count={"type": "integer", "minimum": 0},
+                      frame_share={"type": "number", "minimum": 0, "maximum": 1}),
         optimization=_record(
             phi_initial=_NUMBER, phi_final=_NUMBER,
             phi_trajectory={"type": "array", "items": _NUMBER},
@@ -299,6 +301,12 @@ def _optimization_json(report: OptimizationReport, prior: ShapePrior) -> dict:
     }
 
 
+def _prior_json(prior: ShapePrior, scene: SceneSpec) -> dict:
+    """How much data an estimated prior rests on: its pixels and their share of the frame."""
+    return {"pixel_count": prior.pixel_count,
+            "frame_share": prior.pixel_count / (scene.width * scene.height)}
+
+
 def _write_histogram_csv(path, stats: AngularErrorStats) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
@@ -383,6 +391,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     _dump_json(os.path.join(out, "optimize_report.json"), {
         "initial_rows": report.initial_s.rows.tolist(),
         "final_rows": report.final_s.rows.tolist(),
+        "prior": None if args.shape_agnostic else _prior_json(prior, cfg.scene),
         **_optimization_json(report, prior),
     })
     print(
@@ -451,6 +460,7 @@ def cmd_pipeline(cfg: RunConfig, args: argparse.Namespace) -> int:
         "scene": _scene_json(cfg.scene),
         "initial_lights": initial.rows.tolist(),
         "optimized_lights": optimized.rows.tolist(),
+        "prior": _prior_json(prior, cfg.scene),
         "optimization": {
             "phi_initial": _json_float(opt.phi_trajectory[0]),
             "phi_final": _json_float(opt.phi_trajectory[-1]),

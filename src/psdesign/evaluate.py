@@ -37,6 +37,7 @@ from .oed import ShapePrior, build_shape_prior, phi_shape_aware
 from .solver import DEGENERATE_NORM, MIN_SHADOW_TAU, solve_map  # noqa: F401
 
 HISTOGRAM_EDGES = freeze(np.arange(0.0, 30.25, 0.5))
+BRACKET_SE = 5.0  # a bracket's reach either side of its rank, in standard errors
 
 
 @dataclass(frozen=True)
@@ -108,39 +109,49 @@ def _bin_counts(samples: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _stats_from_samples(samples: np.ndarray, error_map: np.ndarray | None,
-                        counts: np.ndarray | None = None) -> AngularErrorStats:
-    """Statistics of ``samples`` and their ``_bin_counts``.  In-place
-    partitions at one rank each (numpy's SIMD path; NaN sorts last) select, in
-    turn: the upper median n // 2, the p90 neighbours lo (above it from n = 3
-    on) and hi = lo + 1 that numpy's two-sided lerp interpolates, the lower
-    median below n // 2 and the maximum above hi."""
-    n = samples.size
-    if n == 0:
-        raise EmptyMaskError("no valid pixels in common")
-    mean, counts = float(samples.mean()), _bin_counts(samples) if counts is None else counts
-    rank, mid = (n - 1) * 0.9, n // 2
+def _select(samples: np.ndarray, ranks: list[int]) -> list:
+    """The values at ascending, distinct ``ranks``: in-place partitions at one rank
+    each (numpy's SIMD path; NaN sorts last), each of the part above the last."""
+    for start, r in zip([0] + [r + 1 for r in ranks], ranks):
+        samples[start:].partition(r - start)
+    return [samples[r] for r in ranks]
+
+
+def _stats(n: int, mean: float, counts: np.ndarray, error_map: np.ndarray | None,
+           pools: list, top=None) -> AngularErrorStats | None:
+    """Statistics of n samples from ``pools`` of (count below, the samples
+    between two values), or None when a rank read lies in no pool: the medians,
+    the p90 neighbours lo and hi that numpy's two-sided lerp interpolates, and
+    the maximum n - 1 unless its value ``top`` is given."""
+    rank = (n - 1) * 0.9
     lo, hi, t = int(rank), min(int(rank) + 1, n - 1), rank - int(rank)
-    samples.partition(mid)
-    if lo > mid:
-        samples[mid + 1:].partition(lo - mid - 1)
-    if hi > lo:
-        samples[hi:].partition(0)
-    if n % 2 == 0:
-        samples[:mid].partition(-1)
-    if hi < n - 1:
-        samples[hi + 1:].partition(-1)
-    a, b = samples[lo], samples[hi]
+    ranks, at = sorted({(n - 1) // 2, n // 2, lo, hi, n - 1}), {n - 1: top}
+    for below, kept in pools:
+        inside = [r for r in ranks if below <= r < below + kept.size]
+        at.update(zip(inside, _select(kept, [r - below for r in inside])))
+    if any(at.get(r) is None for r in ranks):
+        return None
+    a, b = at[lo], at[hi]
     return AngularErrorStats(
         mean_deg=mean,
-        median_deg=float((samples[(n - 1) // 2] + samples[n // 2]) / 2.0),
+        median_deg=float((at[(n - 1) // 2] + at[n // 2]) / 2.0),
         p90_deg=float(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t),
-        max_deg=float(samples[n - 1]),
+        max_deg=float(at[n - 1]),
         histogram_edges=HISTOGRAM_EDGES,
         histogram_counts=counts,
         error_map=error_map,
         count=int(n),
     )
+
+
+def _stats_from_samples(samples: np.ndarray, error_map: np.ndarray | None,
+                        counts: np.ndarray | None = None) -> AngularErrorStats:
+    """Statistics of ``samples`` and their ``_bin_counts``, selected in place."""
+    n = samples.size
+    if n == 0:
+        raise EmptyMaskError("no valid pixels in common")
+    mean, counts = float(samples.mean()), _bin_counts(samples) if counts is None else counts
+    return _stats(n, mean, counts, error_map, [(0, samples)])
 
 
 def compare_maps(est: NormalMap, gt: NormalMap) -> AngularErrorStats:
@@ -163,6 +174,51 @@ def compare_maps(est: NormalMap, gt: NormalMap) -> AngularErrorStats:
     errors = np.full(gt.mask.shape, np.nan)
     errors.reshape(-1)[joint] = samples
     return _stats_from_samples(samples, errors, counts)
+
+
+class _Tally:
+    """A row's count, histogram, trial sums and maximum over its trials, and per
+    value bracket [low, high, count below, samples inside] (sampling selection:
+    Floyd & Rivest, CACM 1975).  The brackets reach BRACKET_SE standard errors
+    sqrt(q (1 - q) n0) of rank either side of the median and p90 ranks q (n0 - 1)
+    of the first trial with n0 > 0 samples; a side past those is unbounded (all
+    for n0 <= 26), and brackets that meet merge.  Not ``bounded``, one unbounded
+    bracket keeps every sample."""
+
+    def __init__(self, bounded: bool, size: int):
+        self.buf, self.count, self.bins, self.total, self.top = np.empty(size), 0, 0, 0.0, -np.inf
+        self.brackets = None if bounded else [[-np.inf, np.inf, 0, []]]
+
+    def add(self, blocks: list) -> None:
+        """Add a trial whose blocks (start, count, bins) were scored into ``buf``."""
+        n = 0
+        for start, size, hist in blocks:  # compact the blocks in order; numpy skips a self-copy
+            self.buf[n:n + size] = self.buf[start:start + size]
+            n, self.bins = n + size, self.bins + hist
+        if not n:
+            return
+        trial = self.buf[:n]
+        self.count, self.total = self.count + n, self.total + trial.sum()
+        self.top = max(self.top, trial.max())
+        if self.brackets is None:
+            q = np.array([0.5, 0.9])
+            reach = BRACKET_SE * np.sqrt(q * (1.0 - q) * n)
+            lows = np.floor(q * (n - 1) - reach).astype(int).tolist()
+            highs = np.ceil(q * (n - 1) + reach).astype(int).tolist()
+            spans = [(lows[0], highs[1])] if lows[1] <= highs[0] else list(zip(lows, highs))
+            ranks = sorted({r for span in spans for r in span if 0 <= r < n})
+            at = dict(zip(ranks, _select(trial, ranks)))
+            self.brackets = [[at.get(lo, -np.inf), at.get(hi, np.inf), 0, []] for lo, hi in spans]
+        for bracket in self.brackets:
+            bracket[2] += np.count_nonzero(trial < bracket[0])
+            bracket[3].append(trial[(trial >= bracket[0]) & (trial <= bracket[1])])
+
+    def stats(self) -> AngularErrorStats | None:
+        """The row's statistics; None with no sample, or when ``_stats`` misses."""
+        if not self.count:
+            return None
+        pools = [(below, np.concatenate(kept)) for _, _, below, kept in self.brackets]
+        return _stats(self.count, float(self.total / self.count), self.bins, None, pools, self.top)
 
 
 @dataclass(frozen=True)
@@ -201,11 +257,14 @@ def compare_configs(
     solver, n_tilde with z <= 0 or |n_tilde| <= 1e-9 is dropped.  One runner
     (see ``core.runner``) serves the call.  Trial k draws z rows 0 and 1 in one
     run; row 2 was drawn into a spare row in trial k - 1's run, which scored
-    every config's blocks, and trades places with it.  Samples pool across
-    trials, in a row's pool of trials x its lit count, and _stats_from_samples
-    selects; the stats carry no error map.  A config with no sample gets
-    note="no-valid-pixels" and no stats; if no config has a clean-lit pixel,
-    nothing is drawn.  Each row records phi under the prior.
+    every config's blocks, and trades places with it.  The blocks write a
+    row's trial buffer and compact in order; the row keeps the samples inside
+    the brackets its first trial with samples sets (see ``_Tally``).  If a rank
+    the stats read lies outside them, every trial is drawn again with one
+    unbounded bracket per row.  mean_deg is the trial sums' sum, in trial
+    order, over the count.  The stats carry no error map.  A config with no
+    sample gets note="no-valid-pixels" and no stats; if no config has a
+    clean-lit pixel, nothing is drawn.  Each row records phi under the prior.
     """
     if _require_int("trials", trials) < 1:
         raise InvalidSpecError("trials must be >= 1")
@@ -235,8 +294,6 @@ def compare_configs(
                 run(mark, blocks)
             lits.append(np.flatnonzero(lit))
         factors = [np.linalg.inv(np.linalg.qr(c.rows, mode="r")) for c in configs.values()]
-        pooled = [np.empty(trials * lit.size) for lit in lits]  # room for every draw
-        counts, bins = [0] * len(lits), [0] * len(lits)
         z, spare = [np.empty(gt_mask.size) for _ in range(3)], np.empty(gt_mask.size)
 
         def draw(factor, at, gt: list) -> tuple[list, np.ndarray]:
@@ -250,22 +307,22 @@ def compare_configs(
 
         specs = [NoiseSpec.uniform(sigma, 3, seed=stream_key(seed, Stage.COMPARE, k))
                  for k in range(trials)]
-        for k in range(trials if any(lit.size for lit in lits) else 0):
-            if k:  # the last trial's run drew stream 2 into the spare row
-                z[2], spare = spare, z[2]
-            run(_call, [partial(_fill_image, z[i], specs[k], i) for i in range(2 if k else 3)])
-            ahead = [partial(_fill_image, spare, spec, 2) for spec in specs[k + 1:k + 2]]
-            jobs = [_score(gt_xyz, lit, pooled[c][counts[c]:], partial(draw, factor))
-                    for c, (lit, factor) in enumerate(zip(lits, factors))]
-            scored = islice(run(_call, ahead + [task for tasks in jobs for task in tasks]),
-                            len(ahead), None)
-            for c, tasks in enumerate(jobs):  # compact the blocks in order
-                base = counts[c]
-                for start, n, hist in islice(scored, len(tasks)):  # numpy skips a self-copy
-                    pooled[c][counts[c]:counts[c] + n] = pooled[c][base + start:base + start + n]
-                    counts[c], bins[c] = counts[c] + n, bins[c] + hist
-        stats = run(lambda c: _stats_from_samples(pooled[c][:counts[c]], None, bins[c])
-                    if counts[c] else None, range(len(counts)))
+        for bounded in (True, False):  # a rank outside the brackets redraws, unbounded
+            tallies = [_Tally(bounded, lit.size) for lit in lits]
+            for k in range(trials if any(lit.size for lit in lits) else 0):
+                if k:  # the last trial's run drew stream 2 into the spare row
+                    z[2], spare = spare, z[2]
+                run(_call, [partial(_fill_image, z[i], specs[k], i) for i in range(2 if k else 3)])
+                ahead = [partial(_fill_image, spare, spec, 2) for spec in specs[k + 1:k + 2]]
+                jobs = [_score(gt_xyz, lit, tally.buf, partial(draw, factor))
+                        for lit, tally, factor in zip(lits, tallies, factors)]
+                scored = islice(run(_call, ahead + [task for tasks in jobs for task in tasks]),
+                                len(ahead), None)
+                parts = [list(islice(scored, len(tasks))) for tasks in jobs]
+                run(lambda c: tallies[c].add(parts[c]), range(len(lits)))
+            stats = run(_Tally.stats, tallies)
+            if all(row or not tally.count for row, tally in zip(stats, tallies)):
+                break
     return [ConfigComparison(name=name, lights=lights, phi=phi_shape_aware(lights, prior),
                              stats=row, note="ok" if row is not None else "no-valid-pixels")
             for (name, lights), row in zip(configs.items(), stats)]

@@ -8,10 +8,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from psdesign import cli
+from psdesign import NoiseSpec, Stage, add_noise, cli, render_stack, solve_map, stream_key
 from psdesign.cli import main, validate_report
+from psdesign.oed import build_shape_prior
 from psdesign.optimize import baseline_heuristic_spread, optimize_lights
 from psdesign.pfm import read_pfm
+from psdesign.scenes import generate
 
 from conftest import noise_draws
 
@@ -574,3 +576,32 @@ def test_pipeline_rows_without_valid_pixels(tmp_path, capsys):
         assert not (out / f"hist_{name}.csv").exists()
         assert f"{name}: n/a" in stdout
     assert (out / "hist_initial.csv").exists() and "initial: n/a" not in stdout
+
+
+def test_reports_say_how_many_pixels_the_prior_rests_on(tmp_path):
+    # a random rig leaves part of the sphere unsolved, so the prior the design
+    # is built for rests on fewer pixels than the scene has
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, seed=3, scene={
+        "kind": "sphere", "width": 33, "height": 33,
+        "params": {"radius": 0.85}, "albedo": {"kind": "constant", "value": 0.9},
+    }, lights={"baseline": "random", "m": 6}, noise={"sigma": 0.01}, trials=2)
+    cfg = cli.load_run_config(cfg_path)
+    nmap, amap = generate(cfg.scene)
+    noise = NoiseSpec(sigmas=cfg.sigmas, seed=stream_key(cfg.seed, Stage.NOISE, 0))
+    est_initial, _ = solve_map(add_noise(render_stack(nmap, amap, cfg.lights), noise), cfg.lights)
+    count = build_shape_prior(est_initial).pixel_count
+    assert 0 < count < np.count_nonzero(nmap.mask)
+    expected = {"pixel_count": count, "frame_share": count / (33 * 33)}
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "pipe")]) == 0
+    assert main(["optimize", "--config", str(cfg_path), "--out", str(tmp_path / "opt")]) == 0
+    assert main(["optimize", "--config", str(cfg_path), "--shape-agnostic",
+                 "--out", str(tmp_path / "agnostic")]) == 0
+    report = json.loads((tmp_path / "pipe" / "report.json").read_text())
+    assert report["prior"] == expected
+    assert json.loads((tmp_path / "opt" / "optimize_report.json").read_text())["prior"] == expected
+    agnostic = json.loads((tmp_path / "agnostic" / "optimize_report.json").read_text())
+    assert agnostic["prior"] is None
+    del report["prior"]
+    with pytest.raises(jsonschema.ValidationError, match="'prior' is a required property"):
+        validate_report(report)

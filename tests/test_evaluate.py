@@ -1,5 +1,8 @@
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 from itertools import islice
+from operator import add
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from psdesign import (
     Stage,
     add_noise,
     angular_error,
+    baseline_heuristic_spread,
     baseline_orthogonal_triad,
     compare_configs,
     compare_maps,
@@ -29,7 +33,8 @@ from psdesign.oed import build_shape_prior
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
 
 from conftest import noise_draws
-from test_blocks import reach_threads
+from test_blocks import cap_rig, reach_threads
+from test_forward import traced_peak
 
 
 class TestAngularError:
@@ -135,6 +140,34 @@ def test_selection_at_scale_gives_the_five_rank_bits(n, nan_share):
     else:  # NaN sorts last: it is the maximum, and the median once it reaches rank n // 2
         nans = np.count_nonzero(np.isnan(samples))
         assert np.isnan(stats.max_deg) and np.isnan(stats.median_deg) == (n // 2 >= n - nans)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(EDGE_VALUES) | st.floats(0.0, 180.0), max_size=80),
+                min_size=1, max_size=6),
+       st.sampled_from([5.0, 1.0, 0.0]))
+def test_tallied_trials_select_the_pooled_bits_or_miss(trials, reach):
+    # trials need not share a distribution here, so bounded brackets may miss a
+    # rank; when they do not, and always when unbounded, the row is the pool's
+    pooled = np.array([x for trial in trials for x in trial])
+    with mock.patch.object(evaluate, "BRACKET_SE", reach):
+        rows = []
+        for bounded in (True, False):
+            tally = evaluate._Tally(bounded, max(map(len, trials)))
+            for trial in trials:
+                tally.buf[:len(trial)] = trial
+                tally.add([(0, len(trial), evaluate._bin_counts(np.array(trial, dtype=float)))])
+            rows.append(tally.stats())
+    if not pooled.size:
+        assert rows == [None, None]
+        return
+    assert rows[1] is not None
+    reference = _stats_from_samples(pooled.copy(), None)
+    fields = ("median_deg", "p90_deg", "max_deg", "count")
+    for row in [row for row in rows if row is not None]:
+        assert [getattr(row, f) for f in fields] == [getattr(reference, f) for f in fields]
+        assert row.mean_deg == reduce(add, [np.sum(trial) for trial in trials]) / pooled.size
+        assert np.array_equal(row.histogram_counts, reference.histogram_counts)
 
 
 ORDERS = {
@@ -335,9 +368,9 @@ class TestCompareConfigs:
         return nmap.mask.reshape(-1) & (clean.min(axis=0) >= max(3.0 * sigma, 1e-6))
 
     def estimate_samples(self, nmap, amap, lights, sigma, seed, trials):
-        """Errors pooled over trials of n_tilde = rho n + F sigma z at the
-        clean-lit pixels, z from substream(stream_key(seed, COMPARE, k), i) and
-        F = R^-1 for S = QR, less the draws facing away or degenerate."""
+        """Errors of each trial of n_tilde = rho n + F sigma z at the clean-lit
+        pixels, z from substream(stream_key(seed, COMPARE, k), i) and F = R^-1
+        for S = QR, less the draws facing away or degenerate, as one array per trial."""
         lit = self.clean_lit(nmap, amap, lights, sigma)
         gt = nmap.normals.reshape(-1, 3).T[:, lit]
         rho = amap.values.reshape(-1)[lit]
@@ -351,13 +384,15 @@ class TestCompareConfigs:
                     est[j] += factor[j, i] * z[i]
             keep = (est[2] > 0.0) & (np.linalg.norm(est, axis=0) > 1e-9)
             pooled.append(evaluate._angle_deg(est, gt)[keep])
-        return np.concatenate(pooled)
+        return pooled
 
-    def assert_stats_of(self, row, samples):
+    def assert_stats_of(self, row, trials):
+        samples = np.concatenate(trials)
         counts = np.append(np.histogram(samples, bins=HISTOGRAM_EDGES)[0],
                            np.count_nonzero(samples > HISTOGRAM_EDGES[-1]))
         assert row.note == "ok"
-        assert row.stats.mean_deg == samples.mean()
+        # the trials' own pairwise sums, added in trial order
+        assert row.stats.mean_deg == reduce(add, [trial.sum() for trial in trials]) / samples.size
         assert row.stats.median_deg == np.median(samples)
         assert row.stats.p90_deg == np.percentile(samples, 90.0)
         assert row.stats.max_deg == samples.max()
@@ -421,7 +456,7 @@ class TestCompareConfigs:
         sigma, trials, seed = 0.02, 3, 11
         assert self.clean_lit(nmap, amap, lights, sigma).all()
         samples = self.estimate_samples(nmap, amap, lights, sigma, seed, trials)
-        assert 0 < samples.size < trials * nmap.mask.size
+        assert 0 < np.concatenate(samples).size < trials * nmap.mask.size
         monkeypatch.setattr(core, "BLOCK_PIXELS", 7)
         [row] = compare_configs(nmap, amap, {"cone": lights}, sigma=sigma, trials=trials,
                                 seed=seed)
@@ -477,6 +512,48 @@ class TestCompareConfigs:
         stream_2 = [row[k, 2] for k in range(trials)]
         assert len(set(stream_2) | {row[0, 0], row[0, 1]}) == 4
         assert all(a != b for a, b in zip(stream_2, stream_2[1:]))
+
+    @pytest.mark.parametrize("reach", [None, 0.0])
+    def test_a_rank_outside_the_brackets_redraws_every_trial_unbounded(self, monkeypatch, reach):
+        # brackets of no reach hold a first-trial sample or two, which misses a
+        # rank of the pooled trials: the call draws every trial's 3 streams again
+        # and keeps every sample; at the default reach it draws each once
+        nmap, amap = self.scene()
+        configs, sigma, trials, seed = self.configs(), 0.02, 5, 13
+        references = [self.estimate_samples(nmap, amap, lights, sigma, seed, trials)
+                      for lights in configs.values()]
+        keys = [stream_key(seed, Stage.COMPARE, k) for k in range(trials)]
+        if reach is not None:
+            monkeypatch.setattr(evaluate, "BRACKET_SE", reach)
+        draws, fill = [], evaluate._fill_image
+
+        def spy(out, noise, i, clean=None):
+            draws.append((keys.index(noise.seed), i))
+            return fill(out, noise, i, clean)
+
+        monkeypatch.setattr(evaluate, "_fill_image", spy)
+        table = compare_configs(nmap, amap, configs, sigma=sigma, trials=trials, seed=seed)
+        for row, samples in zip(table, references):
+            self.assert_stats_of(row, samples)
+        passes = 1 if reach is None else 2
+        assert sorted(draws) == sorted([(k, i) for k in range(trials) for i in range(3)] * passes)
+
+    def test_memory_does_not_grow_with_the_pool(self, monkeypatch):
+        # a pool of every trial's float64 samples grows by the lit counts x 8
+        # bytes per trial; the bracketed samples kept instead grow by a few
+        # percent.  One thread, so that how the threads' block temporaries
+        # overlap does not move the peaks
+        monkeypatch.setattr(core, "_cpu_count", lambda: 1)
+        nmap, amap = generate(SceneSpec(kind="sphere", width=256, height=256,
+                                        albedo=AlbedoSpec(value=0.9)))
+        configs = {**self.configs(), "spread": baseline_heuristic_spread(6), "cap": cap_rig(6)}
+        lit = sum(np.count_nonzero(self.clean_lit(nmap, amap, lights, 0.01))
+                  for lights in configs.values())
+        prior = build_shape_prior(nmap)
+        peaks = [traced_peak(lambda: compare_configs(nmap, amap, configs, sigma=0.01,
+                                                     trials=trials, seed=3, prior=prior))
+                 for trials in (2, 20)]
+        assert peaks[1] - peaks[0] < 0.25 * (20 - 2) * lit * 8
 
     def test_a_row_does_not_depend_on_the_configs_beside_it(self):
         # every config of a trial reads the same draw at its own pixels
