@@ -54,7 +54,7 @@ from .scenes import (
     generate,
     ingest_normal_map,
 )
-from .solver import _inverse, solve_map
+from .solver import solve_map, whitening
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -225,7 +225,7 @@ def load_run_config(path, overrides: argparse.Namespace | None = None, solve=Tru
     noise = raw.get("noise", {})
     sigmas = require_sigmas(noise.get("sigmas", [noise.get("sigma", 0.0)] * lights.m), lights.m)
     if solve:  # the solver's own rule, which rejects mixed zero and positive levels
-        _inverse(lights, sigmas)
+        whitening(sigmas, lights.m)
     return RunConfig(
         scene=scene,
         lights=lights,

@@ -27,14 +27,13 @@ from .core import (
     _require_int,
     freeze,
     pixel_blocks,
-    require_sigmas,
     runner,
 )
 # render_stack, add_noise and solve_map are not called here: they are imported
 # only because perfbench's traced run patches them here, until it drops them
 from .forward import NoiseSpec, Stage, _fill_image, add_noise, render_stack, stream_key  # noqa: F401
 from .oed import ShapePrior, build_shape_prior, phi_shape_aware
-from .solver import DEGENERATE_NORM, MIN_SHADOW_TAU, solve_map  # noqa: F401
+from .solver import DEGENERATE_NORM, solve_map, whitened_factor, whitening  # noqa: F401
 
 HISTOGRAM_EDGES = freeze(np.arange(0.0, 30.25, 0.5))
 BRACKET_SE = 5.0  # a bracket's reach either side of its rank, in standard errors
@@ -246,8 +245,8 @@ def compare_configs(
     A config scores its clean-lit pixels, a set fixed per call: valid in the
     ground truth, with rho * min_i(s_i . n) >= tau, the solver's threshold.
     There the solver's estimate is exactly n_tilde = rho n + F sigma z,
-    z ~ N(0, I_3), with F = R^-1 for S = QR: sigma^2 F F^T is
-    ``oed.covariance``, and a rig near LightConfig's rank limit keeps a factor.
+    z ~ N(0, I_3), with F = R^-1 of S = QR from ``whitened_factor`` at unit
+    weights: sigma^2 F F^T is ``oed.covariance``, which uses the same helper.
     Trial k draws sigma z once per pixel, row i from
     ``substream(stream_key(seed, Stage.COMPARE, k), i)``, and every config
     reads it (common random numbers), so a row does not depend on the configs
@@ -275,8 +274,7 @@ def compare_configs(
         prior = build_shape_prior(gt_normals)
     gt_xyz = gt_normals.normals.reshape(-1, 3).T
     gt_mask, rho = gt_normals.mask.reshape(-1), albedo.values.reshape(-1)
-    sigma, blocks = float(require_sigmas(sigma, 1)[0]), pixel_blocks(gt_mask.size)
-    tau = max(3.0 * sigma, MIN_SHADOW_TAU)  # the solver's, at equal noise levels
+    tau, blocks = whitening(sigma, 1)[1], pixel_blocks(gt_mask.size)
     lits = []
     with runner(gt_mask.size) as run:
         for lights in configs.values():
@@ -293,7 +291,7 @@ def compare_configs(
             with np.errstate(invalid="ignore", over="ignore"):
                 run(mark, blocks)
             lits.append(np.flatnonzero(lit))
-        factors = [np.linalg.inv(np.linalg.qr(c.rows, mode="r")) for c in configs.values()]
+        factors = [whitened_factor(c.rows, np.ones(c.m))[1] for c in configs.values()]
         z, spare = [np.empty(gt_mask.size) for _ in range(3)], np.empty(gt_mask.size)
 
         def draw(factor, at, gt: list) -> tuple[list, np.ndarray]:

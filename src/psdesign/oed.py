@@ -26,7 +26,7 @@ from .core import (
     require_sigmas,
     require_spd,
 )
-from .solver import DEGENERATE_NORM, PixelEstimate
+from .solver import DEGENERATE_NORM, PixelEstimate, whitened_factor
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,12 @@ class ShapePrior:
 def covariance(lights: LightConfig, sigmas) -> EstimateCovariance:
     """Covariance (S^T W S)^-1 of the weighted least-squares estimate.
 
-    W = diag(1/sigma_i^2); for equal sigmas this is sigma^2 (S^T S)^-1.
-    All noise levels must be strictly positive.
+    W = diag(1/sigma_i^2); for equal sigmas this is sigma^2 (S^T S)^-1.  It is
+    F F^T of ``whitened_factor`` at weights 1/sigma, all strictly positive.
     """
     sig = require_sigmas(sigmas, lights.m, positive=True)
-    whitened = lights.rows / sig[:, None]
-    cov = np.linalg.inv(whitened.T @ whitened)
+    f = whitened_factor(lights.rows, 1.0 / sig)[1]
+    cov = f @ f.T
     return EstimateCovariance(matrix=0.5 * (cov + cov.T))  # exact symmetry despite roundoff
 
 

@@ -2,26 +2,22 @@
 
 The per-pixel model is linear, I = rho * S n = S n_tilde, with one S for every
 pixel, so a single (3, m) matrix solves them all: the whitened pseudo-inverse
-(S^T W S)^-1 S^T W, W = diag(1/sigma_i^2), formed once per call from the SVD of
-W^1/2 S (``_inverse``).  It is applied to the (m, P) stack as one whole-frame
-matrix product, straight into the (3, P) output; the shadow test (one minimum
-over the images), the norms, the degeneracy and facing tests and the
-normalisation (``_finish_columns``) then run over the frame in
-``pixel_blocks``, on every CPU (see ``core.runner``).  The product is neither
-blocked nor split between threads because BLAS picks its kernel by shape: a
-one-column block goes through gemv, and from 16 lights on the last columns of
-a product round differently with its width, so narrower products would not
-reproduce the bytes of a whole-frame one.  ``compare_configs`` solves
-nothing: at a pixel whose clean images all pass the shadow test, this solve
-is rho n plus Gaussian noise of covariance (S^T W S)^-1, which it draws
-directly, with element-wise multiply-adds in blocks.  Singular values at or
-below max(m, 3) * eps of the largest are cut, as in lstsq(rcond=None).
-LightConfig keeps cond(S) below 1e9, so the cut never fires on a valid config,
-and the explicit pseudo-inverse has forward error O(cond(S) * eps), the order
-of a per-column orthogonal solve.  Pixels are excluded when any raw intensity
-falls below the shadow threshold tau = max(3 * max(sigma), 1e-6): near-shadow
-measurements violate the linear model, which says nothing about clamped
-intensities.
+(S^T W S)^-1 S^T W = F Q^T W^1/2 with W = diag(w^2), from the QR factorisation
+W^1/2 S = Q R and F = R^-1 (``whitened_factor``; ``whitening`` is the one rule
+for the weights w and the shadow threshold tau).  Householder QR is backward
+stable in S, so F F^T = (S^T W S)^-1 is within O(cond(S) eps) relative, where
+an inverted Gram is within O(cond(S)^2 eps) (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 19-20); ``oed.covariance`` and ``compare_configs``
+take their F from the same helper.  The pseudo-inverse is applied to the
+(m, P) stack as one whole-frame matrix product, straight into the (3, P)
+output; the shadow test (one minimum over the images), the norms, the
+degeneracy and facing tests and the normalisation (``_finish_columns``) then
+run over the frame in ``pixel_blocks``, on every CPU (see ``core.runner``).
+BLAS picks its kernel by shape (gemv for one column, and from 16 lights a
+product's last columns round differently with its width), so a blocked or
+threaded product would not reproduce the bytes of a whole-frame one.  Pixels
+are excluded when any raw intensity falls below tau: the linear model says
+nothing about clamped, near-shadow intensities.
 """
 
 from __future__ import annotations
@@ -61,18 +57,21 @@ class PixelEstimate:
     valid: bool
 
 
-def _inverse(lights: LightConfig, sigmas) -> tuple[np.ndarray, float]:
-    """The whitened (3, m) pseudo-inverse and the shadow tau.  The row weights
-    1/sigma_i (ones when every sigma is equal, the noiseless all-zero case too)
-    sit in its columns, so the stack itself is never scaled; mixed zero and
+def whitening(sigmas, m: int) -> tuple[np.ndarray, float]:
+    """Row weights, ones when all m sigmas are equal (all zero too) and else
+    1/sigma_i, and the shadow tau = max(3 * max(sigma), 1e-6).  Mixed zero and
     positive sigmas have no consistent weighting and are rejected."""
-    sig = require_sigmas(sigmas, lights.m)
+    sig = require_sigmas(sigmas, m)
     if np.ptp(sig) != 0.0 and np.any(sig == 0.0):
         raise NonPositiveSigmaError("cannot whiten with mixed zero and positive noise levels")
-    w = np.ones(lights.m) if np.ptp(sig) == 0.0 else 1.0 / sig
-    design = lights.rows * w[:, None]
-    pinv = np.linalg.pinv(design, rcond=max(design.shape) * np.finfo(float).eps) * w
-    return pinv, max(3.0 * float(sig.max()), MIN_SHADOW_TAU)
+    w = np.ones(m) if np.ptp(sig) == 0.0 else 1.0 / sig
+    return w, max(3.0 * float(sig.max()), MIN_SHADOW_TAU)
+
+
+def whitened_factor(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q (m, 3) and F = R^-1 (3, 3, upper triangular) of diag(w) rows = Q R."""
+    q, r = np.linalg.qr(rows * w[:, None])
+    return q, np.linalg.inv(r)
 
 
 def _finish_columns(cols: np.ndarray, norm: np.ndarray, valid: np.ndarray, unit: bool) -> None:
@@ -92,8 +91,9 @@ def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas, unit: bool = F
     """The one per-pixel kernel: n_tilde as (3, P) for an (m, P) stack, its
     norms, and which pixels are lit and pass ``_finish_columns`` (with
     ``unit`` as given).  All three arrays are fresh, so callers may seal them."""
-    pinv, tau = _inverse(lights, sigmas)
-    n_tilde = np.matmul(pinv, flat)  # one whole-frame product (see the module docstring)
+    w, tau = whitening(sigmas, lights.m)
+    q, f = whitened_factor(lights.rows, w)
+    n_tilde = np.matmul(f @ q.T * w, flat)  # one whole-frame product (see the module docstring)
     norms, ok = np.empty(flat.shape[1]), np.empty(flat.shape[1], dtype=bool)
 
     def finish(s: slice) -> None:  # lit: every image reaches tau (NaN fails), one reduction
@@ -121,8 +121,8 @@ def solve_lsq(intensities, lights: LightConfig, sigmas) -> PixelEstimate:
 
     Minimizes sum_i ((I_i - S_i . n)/sigma_i)^2, i.e. applies the whitened
     pseudo-inverse (S^T W S)^-1 S^T W; with equal sigmas this is the plain
-    (S^T S)^-1 S^T I.  See the module docstring for the rank cutoff and the
-    accuracy of the explicit pseudo-inverse.
+    (S^T S)^-1 S^T I.  The pseudo-inverse is F Q^T W^1/2 from the QR factor
+    of the whitened rows (see the module docstring for its accuracy).
     """
     i = np.asarray(intensities, dtype=float)
     if i.shape != (lights.m,):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,31 @@ NEARLY_COPLANAR_ROWS = np.array([
     [-0.8967819597471458, -0.44247272985252023, -2.9878538141366135e-06],
     [0.6793254065643828, -0.24681631191178705, -0.6910851613009785],
 ])
+
+
+def rotated_ring(m: int, k: int) -> np.ndarray:
+    """m unit rows 360/m degrees apart at elevation 1e-7 rad, turned by the Q of
+    np.linalg.qr of a 3x3 normal draw under default_rng([3201, k]) and
+    renormalized: a rig about 1e-7 from rank 2 that no coordinate axis aligns."""
+    azimuth = np.radians(np.arange(m) * 360.0 / m)
+    ring = np.stack([np.cos(azimuth), np.sin(azimuth), np.full(m, np.tan(1e-7))], axis=1)
+    rows = ring @ np.linalg.qr(np.random.default_rng([3201, k]).normal(size=(3, 3)))[0].T
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def exact_weighted_inverse(rows: np.ndarray, sigmas) -> list:
+    """(S^T W S)^-1 with W = diag(1/sigma_i^2), as 3 lists of 3 Fractions: the
+    adjugate over the determinant, in exact arithmetic over the float values
+    of ``rows`` and ``sigmas``."""
+    weights = [1 / Fraction(s) ** 2 for s in np.asarray(sigmas, dtype=float).tolist()]
+    s = [[Fraction(v) for v in row] for row in np.asarray(rows, dtype=float).tolist()]
+    g = [[sum(w * r[a] * r[b] for w, r in zip(weights, s)) for b in range(3)] for a in range(3)]
+    # the cofactor of entry (a, b), its sign from the cyclic order of the indices
+    cof = [[g[(a + 1) % 3][(b + 1) % 3] * g[(a + 2) % 3][(b + 2) % 3]
+            - g[(a + 1) % 3][(b + 2) % 3] * g[(a + 2) % 3][(b + 1) % 3] for b in range(3)]
+           for a in range(3)]
+    det = sum(g[0][b] * cof[0][b] for b in range(3))
+    return [[cof[b][a] / det for b in range(3)] for a in range(3)]
 
 
 @pytest.fixture

@@ -37,7 +37,7 @@ from psdesign.optimize import (
 )
 from psdesign.solver import PixelEstimate
 
-from conftest import well_conditioned_config
+from conftest import exact_weighted_inverse, rotated_ring, well_conditioned_config
 
 ALGEBRA_TOL = 1e-12
 EIGEN_TOL = 1e-9
@@ -75,6 +75,18 @@ class TestCovariance:
     def test_rejects_zero_sigma(self):
         with pytest.raises(NonPositiveSigmaError):
             covariance(identity_triad(), [0.0, 0.1, 0.1])
+
+    def test_near_the_rank_limit_matches_the_exact_inverse(self):
+        # triads 1e-7 off a rotated plane, so cond(S^T W S) is about 4e14: an
+        # inverted Gram is off by up to 3e-2 of the largest entry, F F^T by 1e-9
+        sigmas = [0.01, 0.02, 0.05]
+        errors = []
+        for k in range(10):
+            rows = rotated_ring(3, k)
+            exact = np.array(exact_weighted_inverse(rows, sigmas), dtype=float)
+            got = covariance(LightConfig(rows=rows), sigmas).matrix
+            errors.append(np.abs(got - exact).max() / np.abs(exact).max())
+        assert max(errors) <= 1e-7, errors
 
     @pytest.mark.parametrize("sigma", [1.0, 10.0, 100.0])
     def test_any_noise_scale_gives_an_exactly_symmetric_matrix(self, rng, sigma):

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,12 +19,17 @@ from psdesign import (
     solve_map,
     substream,
 )
-from psdesign.core import NonPositiveSigmaError
+from psdesign.core import NonPositiveSigmaError, rank_ratio
 from psdesign.oed import b_matrix
 from psdesign.solver import DEGENERATE_NORM, _solve_columns
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
 
-from conftest import well_conditioned_config, well_conditioned_rows
+from conftest import (
+    exact_weighted_inverse,
+    rotated_ring,
+    well_conditioned_config,
+    well_conditioned_rows,
+)
 
 ROUND_TRIP_TOL = 1e-10
 
@@ -168,6 +174,23 @@ class TestSolveLsq:
         lights = well_conditioned_config(rng, 4)
         with pytest.raises(NonPositiveSigmaError):
             solve_lsq(np.ones(4), lights, [0.0, 0.1, 0.1, 0.1])
+
+    def test_matches_the_exact_solution_at_the_rank_limit(self):
+        # six lights 60 degrees apart, 1e-7 off a rotated plane; the bound is
+        # 10 eps over the rig's singular-value ratio, 1.6e-8 here
+        sigmas = np.array([0.01, 0.02, 0.05] * 2)
+        for k in range(10):
+            rows = rotated_ring(6, k)
+            draws = np.random.default_rng([3202, k]).normal(size=6)
+            i = rows @ np.array([0.3, -0.2, 0.9]) + sigmas * draws
+            inverse = exact_weighted_inverse(rows, sigmas)
+            rhs = [sum(Fraction(r[a]) * Fraction(v) / Fraction(s) ** 2
+                       for r, v, s in zip(rows.tolist(), i.tolist(), sigmas.tolist()))
+                   for a in range(3)]
+            exact = np.array([sum(g * b for g, b in zip(row, rhs)) for row in inverse], dtype=float)
+            got = solve_lsq(i, LightConfig(rows=rows), sigmas).n_tilde
+            error = np.abs(got - exact).max() / np.abs(exact).max()
+            assert error <= 10.0 * np.finfo(float).eps / rank_ratio(rows), (k, error)
 
     def test_scale_equivariance(self, rng):
         n = np.array([0.2, 0.1, 0.97])
