@@ -328,13 +328,11 @@ def cmd_render(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _ensure_outdir(cfg.outputs)
     nmap, amap = generate(cfg.scene)
     stack = _observe(cfg, nmap, amap, cfg.lights, Stage.NOISE)
-    names = []
-    for i in range(stack.m):
-        name = f"img_{i:03d}.pfm"
-        pfm.write_pfm(os.path.join(out, name), stack.images[i].astype(np.float32))
-        names.append(name)
+    names = [f"img_{i:03d}.pfm" for i in range(stack.m)]
+    for name, image in zip(names, stack.images):
+        pfm.write_pfm(os.path.join(out, name), image)
     export_normal_map(os.path.join(out, "gt_normals.pfm"), nmap)
-    pfm.write_pfm(os.path.join(out, "gt_albedo.pfm"), amap.values.astype(np.float32))
+    pfm.write_pfm(os.path.join(out, "gt_albedo.pfm"), amap.values)
     sidecar = {
         "lights": cfg.lights.rows.tolist(),
         "sigmas": cfg.sigmas.tolist(),
@@ -354,44 +352,46 @@ def cmd_solve(args: argparse.Namespace) -> int:
     base = os.path.dirname(os.fspath(args.sidecar))
     paths = args.images if args.images else [os.path.join(base, n) for n in sidecar["images"]]
     if len(paths) != lights.m:
-        raise DimensionMismatchError(
-            f"{len(paths)} images for {lights.m} lights"
-        )
+        raise DimensionMismatchError(f"{len(paths)} images for {lights.m} lights")
     images = []
     for p in paths:
-        img = pfm.read_pfm(p)
-        if img.ndim != 2:
+        images.append(pfm.read_pfm(p))
+        if images[-1].ndim != 2:
             raise FileFormatError(f"{p}: expected a 1-channel intensity image")
-        images.append(img.astype(float))
-    stack = IntensityStack(images=freeze(np.stack(images)), sigmas=sidecar["sigmas"])
+    stack = IntensityStack(images=freeze(np.stack(images, dtype=float)),
+                           sigmas=sidecar["sigmas"])
+    del images  # else the float32 frames stay resident through the solve
     nmap, amap = solve_map(stack, lights)
     out = _ensure_outdir(args.out)
     export_normal_map(os.path.join(out, "normals.pfm"), nmap)
-    pfm.write_pfm(os.path.join(out, "albedo.pfm"), amap.values.astype(np.float32))
+    pfm.write_pfm(os.path.join(out, "albedo.pfm"), amap.values)
     print(f"solved {nmap.mask.sum()} valid pixels; wrote normals.pfm and albedo.pfm to {out}")
     return EXIT_OK
 
 
-def _estimate_prior(cfg: RunConfig) -> ShapePrior:
-    """Classic-PS pass with the run's lights to obtain the shape prior."""
-    nmap, amap = generate(cfg.scene)
-    stack = _observe(cfg, nmap, amap, cfg.lights, Stage.NOISE)
-    return build_shape_prior(solve_map(stack, cfg.lights)[0])
+def _prior_pass(cfg: RunConfig, shape_agnostic: bool = False) -> tuple:
+    """Classic-PS pass with the run's lights: the ground truth (normals, albedo), its
+    solved normals and their prior; ``shape_agnostic`` skips it: (None, None, identity)."""
+    if shape_agnostic:
+        return None, None, ShapePrior.identity()
+    truth = generate(cfg.scene)
+    estimate = solve_map(_observe(cfg, *truth, cfg.lights, Stage.NOISE), cfg.lights)[0]
+    return truth, estimate, build_shape_prior(estimate)
 
 
 def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _ensure_outdir(cfg.outputs)
-    prior = ShapePrior.identity() if args.shape_agnostic else _estimate_prior(cfg)
+    _, estimate, prior = _prior_pass(cfg, args.shape_agnostic)
     report = optimize_lights(cfg.lights, prior, cfg.optimizer)
     _dump_json(os.path.join(out, "lights_optimized.json"), {
         "rows": report.final_s.rows.tolist(),
         "phi": _json_float(report.phi_trajectory[-1]),
-        "prior": "identity" if args.shape_agnostic else "estimated",
+        "prior": "identity" if estimate is None else "estimated",
     })
     _dump_json(os.path.join(out, "optimize_report.json"), {
         "initial_rows": report.initial_s.rows.tolist(),
         "final_rows": report.final_s.rows.tolist(),
-        "prior": None if args.shape_agnostic else _prior_json(prior, cfg.scene),
+        "prior": None if estimate is None else _prior_json(prior, cfg.scene),
         **_optimization_json(report, prior),
     })
     print(
@@ -405,7 +405,7 @@ def cmd_baseline(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.count < 1:
         raise InvalidSpecError(f"count must be >= 1, got {args.count}")
     out = _ensure_outdir(cfg.outputs)
-    prior = ShapePrior.identity() if args.shape_agnostic else _estimate_prior(cfg)
+    prior = _prior_pass(cfg, args.shape_agnostic)[2]
     samples = baseline_random(args.count, cfg.lights.m, prior, seed=cfg.seed)
     path = os.path.join(out, "baseline_phi.csv")
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -420,11 +420,8 @@ def cmd_baseline(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_pipeline(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _ensure_outdir(cfg.outputs)
-    nmap, amap = generate(cfg.scene)
+    (nmap, amap), est_initial, prior = _prior_pass(cfg)
     initial, sigma = cfg.lights, float(cfg.sigmas.max())
-
-    est_initial, _ = solve_map(_observe(cfg, nmap, amap, initial, Stage.NOISE), initial)
-    prior = build_shape_prior(est_initial)
 
     opt = optimize_lights(initial, prior, cfg.optimizer)
     optimized = opt.final_s
@@ -494,7 +491,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "error_map": "error_map.pfm",
     })
     _write_histogram_csv(os.path.join(out, "error_hist.csv"), stats)
-    pfm.write_pfm(os.path.join(out, "error_map.pfm"), stats.error_map.astype(np.float32))
+    pfm.write_pfm(os.path.join(out, "error_map.pfm"), stats.error_map)
     print(f"mean {stats.mean_deg:.4f} deg, median {stats.median_deg:.4f} deg over {stats.count} px")
     return EXIT_OK
 
@@ -530,15 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", required=True, help="output directory")
 
     p_opt = command("optimize", cmd_optimize, "optimize light directions")
-    p_opt.add_argument("--shape-agnostic", action="store_true",
-                       help="use the identity prior instead of an estimated one")
 
     command("pipeline", cmd_pipeline, "full render/solve/optimize/compare run")
 
     p_base = command("baseline", cmd_baseline, "objective values of random configurations")
     p_base.add_argument("--count", type=int, required=True, help="number of random configs")
-    p_base.add_argument("--shape-agnostic", action="store_true",
-                        help="use the identity prior instead of an estimated one")
+    for p in (p_opt, p_base):
+        p.add_argument("--shape-agnostic", action="store_true",
+                       help="use the identity prior instead of an estimated one")
 
     p_eval = command("evaluate", cmd_evaluate, "compare two normal maps", config=False)
     p_eval.add_argument("--est", required=True, help="estimated normal map (PFM)")
@@ -552,15 +548,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
+    except (SingularLightMatrixError, DegenerateVectorError, NonPositiveSigmaError,
+            np.linalg.LinAlgError) as exc:  # before ValueError, which LinAlgError is
+        print(f"psdesign: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (InvalidSpecError, DimensionMismatchError, NonUnitRowsError, ValueError) as exc:
         print(f"psdesign: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EmptyMaskError as exc:  # a valid config whose data leaves nothing to work on
         print(f"psdesign: no valid pixels: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (SingularLightMatrixError, DegenerateVectorError, NonPositiveSigmaError,
-            np.linalg.LinAlgError) as exc:
-        print(f"psdesign: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FileFormatError, OSError) as exc:
         print(f"psdesign: I/O error: {exc}", file=sys.stderr)

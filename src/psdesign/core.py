@@ -361,8 +361,8 @@ def require_spd(matrix: np.ndarray, semidefinite: bool = False) -> np.ndarray:
     positive semidefinite when ``semidefinite``.
 
     Symmetry is checked within UNIT_TOL; a semidefinite matrix may have
-    eigenvalues down to -UNIT_TOL, its roundoff.  Returns the validated array
-    (as float64).
+    eigenvalues down to -UNIT_TOL, its roundoff; a definite one must have a
+    Cholesky factor.  Returns the validated array (as float64).
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
@@ -371,8 +371,14 @@ def require_spd(matrix: np.ndarray, semidefinite: bool = False) -> np.ndarray:
         raise InvalidSpecError("matrix has non-finite entries")
     if np.max(np.abs(m - m.T)) > UNIT_TOL:
         raise InvalidSpecError("matrix is not symmetric within tolerance")
-    eigvals = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if (eigvals[0] < -UNIT_TOL) if semidefinite else (eigvals[0] <= 0.0):
+    sym = 0.5 * (m + m.T)
+    try:  # near cond 1e16 a definite matrix has a Cholesky factor, not eigvalsh > 0
+        if not semidefinite:
+            np.linalg.cholesky(sym)
+        elif np.linalg.eigvalsh(sym)[0] < -UNIT_TOL:
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
         kind = "semidefinite" if semidefinite else "definite"
-        raise InvalidSpecError(f"matrix is not positive {kind} (eigenvalues {eigvals})")
+        raise InvalidSpecError(f"matrix is not positive {kind} (eigenvalues "
+                               f"{np.linalg.eigvalsh(sym)})") from None
     return m

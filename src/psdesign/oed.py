@@ -112,8 +112,8 @@ def confidence_region(
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRangeError(f"alpha must be in (0, 1), got {alpha}")
     kappa = chi_square_quantile(1.0 - alpha, dof=3)
-    eigvals = np.linalg.eigvalsh(cov.matrix)
-    semiaxes = np.sqrt(kappa * eigvals)[::-1]
+    # the singular values of C's Cholesky factor: eigvalsh(C) can go negative near cond 1e16
+    semiaxes = np.sqrt(kappa) * np.linalg.svd(np.linalg.cholesky(cov.matrix), compute_uv=False)
     return ConfidenceRegion(
         center=np.asarray(est.n_tilde, dtype=float).copy(),
         shape=np.linalg.inv(cov.matrix),

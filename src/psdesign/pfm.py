@@ -25,7 +25,7 @@ _HEADER = re.compile(
 
 
 def read_pfm(path) -> np.ndarray:
-    """Read a PFM file into float32, shape (H, W) or (H, W, 3), top row first."""
+    """Read a PFM file into a new native float32 array, (H, W) or (H, W, 3), top row first."""
     with open(path, "rb") as f:
         head = f.read(MAX_HEADER_BYTES + 1)
         match = _HEADER.match(head)
@@ -50,14 +50,13 @@ def read_pfm(path) -> np.ndarray:
         raw = f.read(size) if size <= os.fstat(f.fileno()).st_size - f.tell() else b""
         if len(raw) != size:
             raise FileFormatError(f"{path}: truncated pixel data")
-    dtype = "<f4" if scale < 0.0 else ">f4"
-    data = np.frombuffer(raw, dtype=dtype).astype(np.float32)
+    data = np.frombuffer(raw, dtype="<f4" if scale < 0.0 else ">f4")
     data = data.reshape((height, width) if channels == 1 else (height, width, 3))
-    return data[::-1].copy()  # file stores bottom row first
+    return np.array(data[::-1], dtype=np.float32)  # file stores bottom row first
 
 
 def write_pfm(path, image: np.ndarray) -> None:
-    """Write float data as little-endian PFM; (H, W) -> "Pf", (H, W, 3) -> "PF"."""
+    """Write a real array as little-endian float32 PFM; (H, W) -> "Pf", (H, W, 3) -> "PF"."""
     arr = np.asarray(image)
     if arr.ndim == 2:
         magic = b"Pf"
@@ -65,12 +64,9 @@ def write_pfm(path, image: np.ndarray) -> None:
         magic = b"PF"
     else:
         raise FileFormatError(f"cannot write array of shape {arr.shape} as PFM")
-    height, width = arr.shape[:2]
-    payload = arr[::-1].astype("<f4").tobytes()
+    payload = np.ascontiguousarray(arr[::-1], dtype="<f4")
     with open(path, "wb") as f:
-        f.write(magic + b"\n")
-        f.write(f"{width} {height}\n".encode("ascii"))
-        f.write(b"-1.0\n")
+        f.write(magic + f"\n{arr.shape[1]} {arr.shape[0]}\n-1.0\n".encode("ascii"))
         f.write(payload)
 
 
@@ -83,8 +79,8 @@ def mask_path(path) -> str:
 
 def write_normal_map(path, normals: np.ndarray, mask: np.ndarray) -> None:
     """Write normals as a 3-channel PFM plus a 1-channel 0/1 mask sidecar."""
-    write_pfm(path, np.asarray(normals, dtype=np.float32))
-    write_pfm(mask_path(path), np.asarray(mask, dtype=np.float32))
+    write_pfm(path, normals)
+    write_pfm(mask_path(path), mask)
 
 
 def read_normal_map_arrays(path) -> tuple[np.ndarray, np.ndarray | None]:

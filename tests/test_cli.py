@@ -369,6 +369,20 @@ def test_heuristic_spread_without_m_has_three_lights(tmp_path):
     assert len(sidecar["images"]) == 3
 
 
+def test_linear_algebra_failure_is_numeric_error(tmp_path, capsys, monkeypatch):
+    # np.linalg.LinAlgError is a ValueError, which the config-error clause also catches
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "optimize_lights", singular)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    capsys.readouterr()
+    assert main(["optimize", "--config", str(cfg_path), "--shape-agnostic",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "psdesign: numerical failure: Singular matrix\n"
+
+
 def test_solve_rejects_a_three_channel_image(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)

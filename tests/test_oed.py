@@ -182,6 +182,27 @@ class TestConfidenceRegion:
         boundary = center + region.semiaxes[-1] * vecs[:, 0] * (1.0 - 1e-9)
         assert region.contains(boundary)
 
+    @pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1)])
+    @pytest.mark.parametrize("sigma", [0.01, 0.1, 1.0])
+    def test_a_triad_3e_9_off_a_plane_has_finite_positive_semiaxes(self, signs, sigma):
+        # cond(S^T S) is near 1e17, where the eigenvalues eigvalsh finds for the
+        # covariance can go negative; a valid rig must still get its region
+        azimuth = np.radians([0.0, 120.0, 240.0])
+        rows = np.stack([np.cos(azimuth), np.sin(azimuth), 3e-9 * np.array(signs)], axis=1)
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        est = PixelEstimate(n_tilde=np.array([0.0, 0.0, 1.0]), albedo=1.0,
+                            normal=np.array([0.0, 0.0, 1.0]), valid=True)
+        cov = covariance(LightConfig(rows=rows), [sigma] * 3)
+        region = confidence_region(est, cov, alpha=0.05)
+        assert np.all(np.isfinite(region.semiaxes)) and np.all(region.semiaxes > 0.0)
+        if signs == (1, 1, 1):  # S^T S = diag(3c^2 / 2, 3c^2 / 2, 3 s_z^2)
+            c, s_z = np.hypot(rows[:, 0], rows[:, 1]), rows[:, 2]
+            for k in range(3):
+                variances = sigma**2 * np.array([1 / (3 * s_z[k]**2), 2 / (3 * c[k]**2),
+                                                 2 / (3 * c[k]**2)])
+                np.testing.assert_allclose(region.semiaxes, np.sqrt(region.radius_sq * variances),
+                                           rtol=1e-6)
+
 
 def test_a_criterion():
     cov_i = covariance(identity_triad(), [1.0] * 3)

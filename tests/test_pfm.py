@@ -9,6 +9,8 @@ from psdesign import FileFormatError, pfm
 from psdesign.cli import main
 from psdesign.pfm import mask_path, read_normal_map_arrays, read_pfm, write_normal_map, write_pfm
 
+from test_forward import traced_peak
+
 
 def test_single_channel_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
@@ -67,6 +69,54 @@ def test_big_endian_read(tmp_path):
     back = read_pfm(path)
     assert back.shape == (2, 1)
     assert back[0, 0] == 1.5 and back[1, 0] == -2.5
+
+
+def _edge_frame():
+    """A float64 frame of values whose float32 rounding is an edge case."""
+    f32 = np.finfo(np.float32)
+    edges = [np.nan, np.inf, -np.inf, 1e39, -1e300, float(f32.max) * (1 + 2.0**-25),
+             1e-40, -1e-45, 5e-324, -0.0, 0.0, 1.0 / 3.0, float(f32.tiny) / 3.0, 1.0 + 2.0**-24]
+    frame = np.random.default_rng(5).standard_normal((6, 7))
+    frame.flat[:len(edges)] = edges
+    return frame
+
+
+# float64 edge values, a bool mask, and the (H, W, 3) view of a (3, H, W) buffer
+UNCAST_FRAMES = {
+    "float64": _edge_frame,
+    "bool mask": lambda: np.random.default_rng(6).random((5, 4)) < 0.5,
+    "component-major view": lambda: np.random.default_rng(7).random((3, 5, 4)).transpose(1, 2, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(UNCAST_FRAMES))
+def test_writing_any_real_array_rounds_it_to_float32_once(tmp_path, case):
+    frame = UNCAST_FRAMES[case]()
+    with np.errstate(over="ignore"):  # values past float32's range round to inf either way
+        write_pfm(tmp_path / "uncast.pfm", frame)
+        write_pfm(tmp_path / "cast.pfm", frame.astype(np.float32))
+    assert (tmp_path / "uncast.pfm").read_bytes() == (tmp_path / "cast.pfm").read_bytes()
+
+
+@pytest.mark.parametrize("scale, order", [(b"-1.0", "<f4"), (b"1.0", ">f4")])
+@pytest.mark.parametrize("shape", [(3, 2), (1, 4), (3, 2, 3), (1, 2, 3)])
+def test_read_gives_an_owned_native_float32_top_row_first(tmp_path, scale, order, shape):
+    img = np.arange(np.prod(shape), dtype=np.float32).reshape(shape) - 5.5
+    magic, path = b"PF" if len(shape) == 3 else b"Pf", tmp_path / "a.pfm"
+    header = magic + f"\n{shape[1]} {shape[0]}\n".encode("ascii") + scale + b"\n"
+    path.write_bytes(header + img[::-1].astype(order).tobytes())  # bottom row first
+    back = read_pfm(path)
+    assert back.dtype == np.float32 and back.dtype.isnative
+    assert back.flags.c_contiguous and back.flags.writeable and back.flags.owndata
+    assert back.tobytes() == img.tobytes()
+
+
+def test_a_frame_is_converted_in_one_copy_each_way(tmp_path):
+    frame = np.random.default_rng(8).random((1024, 1024))
+    frame_bytes, path = 4 * frame.size, tmp_path / "f.pfm"  # one float32 frame
+    assert traced_peak(lambda: write_pfm(path, frame)) < 1.25 * frame_bytes
+    # the file's bytes and the float32 frame built from them
+    assert traced_peak(lambda: read_pfm(path)) < 2.25 * frame_bytes
 
 
 def test_header_errors(tmp_path):

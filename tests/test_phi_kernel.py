@@ -100,7 +100,7 @@ def spread_run(tmp_path_factory):
     out = root / "optimize"
     assert cli.main(["optimize", "--config", str(path), "--out", str(out)]) == 0
     report = json.loads((out / "optimize_report.json").read_text())
-    return cfg, cli._estimate_prior(cfg), report
+    return cfg, cli._prior_pass(cfg)[2], report
 
 
 class TestAccuracy:
