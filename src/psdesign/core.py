@@ -17,8 +17,12 @@ over the buffers they build; any other input is copied into it.
 
 The per-pixel layers walk a frame in ``pixel_blocks``: the temporaries of one
 block stay in the L2 cache instead of each being a fresh whole-frame array.
-Blocks write disjoint outputs, so a layer hands them to a ``runner``, which
-spreads them over the CPUs; the bytes do not depend on the thread count.
+The light and solve products walk it in ``product_blocks``, PRODUCT_COLUMNS
+wide with the remainder merged into the last: BLAS picks its kernel by shape
+(gemv for one column, edge kernels for narrow ones), so a constant width, not
+BLOCK_PIXELS, keeps the whole-frame product's bytes.  Blocks write disjoint
+outputs, so a layer hands them to a ``runner``, which spreads them over the
+CPUs; the bytes do not depend on the thread count.
 Each call opens its own runner, whose threads end with it: no runner is
 shared between calls, and the module holds no mutable state.
 """
@@ -41,6 +45,8 @@ RANK_RTOL = 1e-9
 
 # Pixels per block of the per-pixel layers: a (3, B) float block is 768 KiB.
 BLOCK_PIXELS = 1 << 15
+# Columns per slice of the light and solve products (see the module docstring).
+PRODUCT_COLUMNS = 1 << 15
 
 # Frames below this many pixels run their tasks in a plain loop: on a 2-core
 # Xeon the hand-off to a thread cost more than it saved below about 256 x 256.
@@ -123,6 +129,14 @@ def pixel_blocks(count: int) -> list[slice]:
     """Consecutive slices of at most BLOCK_PIXELS that cover range(count)."""
     step = BLOCK_PIXELS
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def product_blocks(count: int) -> list[slice]:
+    """Consecutive slices of PRODUCT_COLUMNS that cover range(count), the last
+    one absorbing the remainder: none is narrower unless the whole frame is."""
+    step = PRODUCT_COLUMNS
+    n = max(count // step, 1) if count else 0
+    return [slice(i * step, count if i == n - 1 else (i + 1) * step) for i in range(n)]
 
 
 def _cpu_count() -> int:

@@ -23,6 +23,7 @@ from .core import (
     _require_int,
     freeze,
     pixel_blocks,
+    product_blocks,
     require_sigmas,
     runner,
 )
@@ -104,20 +105,22 @@ def render_stack(nmap: NormalMap, amap: AlbedoMap, lights: LightConfig) -> Inten
         )
     images = np.empty((lights.m, nmap.mask.size))
     albedo, mask = amap.values.reshape(-1), nmap.mask.reshape(-1)
+    normals = nmap.normals.reshape(-1, 3).T
 
-    def finish(s: slice) -> None:
+    def block(s: slice) -> None:
+        # a fixed-width slice, the tail merged into the last, keeps the bytes of
+        # the whole-frame product (see core.product_blocks); it is finished in cache
+        np.matmul(lights.rows, normals[:, s], out=images[:, s])
         rho, invalid = albedo[s], ~mask[s]
-        for image in images[:, s]:  # one image at a time, while it is in cache
+        for image in images[:, s]:  # one image at a time
             np.maximum(image, 0.0, out=image)
             image *= rho
             np.copyto(image, 0.0, where=invalid)  # a masked write, not a gather
 
     # invalid pixels hold unconstrained normals, and their products are zeroed
-    # below, so their NaN, inf or overflow is no error
+    # above, so their NaN, inf or overflow is no error
     with np.errstate(invalid="ignore", over="ignore"), runner(albedo.size) as run:
-        # one whole-frame product, for the reason the solver module gives
-        np.matmul(lights.rows, nmap.normals.reshape(-1, 3).T, out=images)
-        run(finish, pixel_blocks(albedo.size))
+        run(block, product_blocks(albedo.size))
     return IntensityStack(images=freeze(images.reshape(lights.m, *amap.values.shape)),
                           sigmas=np.zeros(lights.m))
 
@@ -130,10 +133,12 @@ def _fill_image(out: np.ndarray, noise: NoiseSpec, i: int,
     if sigma == 0.0:
         out[...] = 0.0 if clean is None else clean
         return
-    substream(noise.seed, i).standard_normal(out=out)
-    out *= sigma
-    if clean is not None:
-        out += clean
+    draws = substream(noise.seed, i)  # successive draws continue its one stream
+    for s in pixel_blocks(out.size):  # each block scaled and shifted while in cache
+        draws.standard_normal(out=out[s])
+        out[s] *= sigma
+        if clean is not None:
+            out[s] += clean[s]
 
 
 def add_noise(stack: IntensityStack, noise: NoiseSpec) -> IntensityStack:

@@ -8,16 +8,14 @@ for the weights w and the shadow threshold tau).  Householder QR is backward
 stable in S, so F F^T = (S^T W S)^-1 is within O(cond(S) eps) relative, where
 an inverted Gram is within O(cond(S)^2 eps) (Higham, Accuracy and Stability of
 Numerical Algorithms, ch. 19-20); ``oed.covariance`` and ``compare_configs``
-take their F from the same helper.  The pseudo-inverse is applied to the
-(m, P) stack as one whole-frame matrix product, straight into the (3, P)
-output; the shadow test (one minimum over the images), the norms, the
-degeneracy and facing tests and the normalisation (``_finish_columns``) then
-run over the frame in ``pixel_blocks``, on every CPU (see ``core.runner``).
-BLAS picks its kernel by shape (gemv for one column, and from 16 lights a
-product's last columns round differently with its width), so a blocked or
-threaded product would not reproduce the bytes of a whole-frame one.  Pixels
-are excluded when any raw intensity falls below tau: the linear model says
-nothing about clamped, near-shadow intensities.
+take their F from the same helper.  Each runner task (``core.runner``)
+applies the pseudo-inverse to one ``product_blocks`` slice of the (m, P)
+stack, straight into the (3, P) output, then runs the slice's shadow test
+(one minimum over the images) and ``_finish_columns`` while it is in cache.
+The slices are a constant PRODUCT_COLUMNS wide, the tail merged into the
+last, because BLAS picks its kernel by shape: so they keep the whole-frame
+product's bytes.  Pixels are excluded when any raw intensity falls below
+tau: the linear model says nothing about clamped, near-shadow intensities.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .core import (
     NonPositiveSigmaError,
     NormalMap,
     freeze,
-    pixel_blocks,
+    product_blocks,
     require_sigmas,
     runner,
 )
@@ -93,15 +91,15 @@ def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas, unit: bool = F
     ``unit`` as given).  All three arrays are fresh, so callers may seal them."""
     w, tau = whitening(sigmas, lights.m)
     q, f = whitened_factor(lights.rows, w)
-    n_tilde = np.matmul(f @ q.T * w, flat)  # one whole-frame product (see the module docstring)
-    norms, ok = np.empty(flat.shape[1]), np.empty(flat.shape[1], dtype=bool)
+    pinv, count = f @ q.T * w, flat.shape[1]
+    n_tilde, norms, ok = np.empty((3, count)), np.empty(count), np.empty(count, dtype=bool)
 
-    def finish(s: slice) -> None:  # lit: every image reaches tau (NaN fails), one reduction
-        _finish_columns(n_tilde[:, s], norms[s],
+    def block(s: slice) -> None:  # lit: every image reaches tau (NaN fails), one reduction
+        _finish_columns(np.matmul(pinv, flat[:, s], out=n_tilde[:, s]), norms[s],
                         np.greater_equal(flat[:, s].min(axis=0), tau, out=ok[s]), unit)
 
-    with runner(len(norms)) as run:
-        run(finish, pixel_blocks(len(norms)))
+    with runner(count) as run:
+        run(block, product_blocks(count))
     return n_tilde, norms, ok
 
 

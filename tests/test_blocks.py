@@ -1,6 +1,7 @@
 """Block-walked per-pixel layers: the block size and the thread count change
-no output bit, the checks still reach the last partial block, and every map
-holds its normals component-major."""
+no output bit, the sliced light and solve products keep the whole-frame
+bytes, the checks still reach the last partial block, and every map holds
+its normals component-major."""
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -102,6 +103,48 @@ def test_block_size_changes_no_byte(monkeypatch, block, shape):
         pools = reach_threads(monkeypatch, cpus)
         assert layer_outputs(h, w) == whole, f"{cpus} CPUs"
         assert bool(pools) == (cpus > 1)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, core.PRODUCT_COLUMNS - 1, core.PRODUCT_COLUMNS,
+                                   2 * core.PRODUCT_COLUMNS - 1, 2 * core.PRODUCT_COLUMNS,
+                                   5 * core.PRODUCT_COLUMNS + 13])
+def test_product_blocks_are_fixed_width_with_the_tail_merged(monkeypatch, count):
+    blocks = core.product_blocks(count)
+    assert [i for s in blocks for i in range(count)[s]] == list(range(count))
+    widths = [s.stop - s.start for s in blocks]
+    assert all(width == core.PRODUCT_COLUMNS for width in widths[:-1])
+    assert all(0 < width < 2 * core.PRODUCT_COLUMNS for width in widths)
+    assert len(blocks) == max(count // core.PRODUCT_COLUMNS, min(count, 1))
+    monkeypatch.setattr(core, "BLOCK_PIXELS", 7)
+    assert core.product_blocks(count) == blocks
+
+
+# 2 slices, 2 slices with a 256-pixel tail, and 2 with a 13-pixel tail
+PRODUCT_SHAPES = [(256, 256), (257, 256), (59, 1111)]
+
+
+@pytest.mark.parametrize("block", [7, DEFAULT])
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=[f"{h}x{w}" for h, w in PRODUCT_SHAPES])
+def test_sliced_products_keep_the_whole_frame_bytes(monkeypatch, shape, block):
+    assert shape[0] * shape[1] in (2 * core.PRODUCT_COLUMNS, 2 * core.PRODUCT_COLUMNS + 256,
+                                   2 * core.PRODUCT_COLUMNS + 13)
+    monkeypatch.setattr(core, "BLOCK_PIXELS", block)
+    nmap, amap = sphere(*shape)
+    for m in (3, 16, 17):
+        lights = cap_rig(m)
+        lit = np.maximum(lights.rows @ rows_of(nmap), 0.0) * amap.values.reshape(-1)
+        lit[:, ~nmap.mask.reshape(-1)] = 0.0
+        sigmas = np.linspace(0.01, 0.02, m)
+        flat = lit + sigmas[:, None] * np.random.default_rng(m).standard_normal(lit.shape)
+        w, _ = solver.whitening(sigmas, m)
+        q, f = solver.whitened_factor(lights.rows, w)
+        for cpus in (1, 2, 3):
+            pools = reach_threads(monkeypatch, cpus)
+            images = render_stack(nmap, amap, lights).images
+            assert images.reshape(m, -1).tobytes() == lit.tobytes(), f"m={m}, {cpus} CPUs"
+            n_tilde = solver._solve_columns(flat, lights, sigmas)[0]
+            assert n_tilde.tobytes() == ((f @ q.T * w) @ flat).tobytes(), f"m={m}, {cpus} CPUs"
+            assert bool(pools) == (cpus > 1)
 
 
 def up_normals(h: int, w: int) -> np.ndarray:
@@ -225,6 +268,7 @@ def test_solve_map_opens_a_pool_for_the_solve_and_one_for_the_map_checks(monkeyp
     lights = RIGS["cap4"]
     stack = render_stack(nmap, amap, lights)
     monkeypatch.setattr(core, "BLOCK_PIXELS", 64)  # 10 blocks: every pool starts a thread
+    monkeypatch.setattr(core, "PRODUCT_COLUMNS", 64)  # the solve's 9 slices too
     outputs = []
     for cpus, opened in ((1, 0), (2, 2)):
         pools = reach_threads(monkeypatch, cpus)
