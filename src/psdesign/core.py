@@ -13,7 +13,8 @@ A NormalMap's normals live component-major, in one (3, H, W) buffer; its
 (H, W, 3) ``normals`` is a view of that buffer, so ``normals.reshape(-1, 3).T``
 is a C-contiguous (3, P) array of x, y and z rows.  A sealed view of that
 layout is adopted, which is how the scenes, the ingest and the solver hand
-over the buffers they build; any other input is copied into it.
+over the buffers they build; any other input is copied into it.  The solver
+and the ingest make each normal by ``finish_columns``, the one direction rule.
 
 The per-pixel layers walk a frame in ``pixel_blocks``: the temporaries of one
 block stay in the L2 cache instead of each being a fresh whole-frame array.
@@ -42,6 +43,7 @@ import numpy as np
 UNIT_TOL = 1e-12
 MAP_UNIT_TOL = 1e-9
 RANK_RTOL = 1e-9
+DEGENERATE_NORM = 1e-9  # a vector has a direction when its norm is in (this, inf)
 
 # Pixels per block of the per-pixel layers: a (3, B) float block is 768 KiB.
 BLOCK_PIXELS = 1 << 15
@@ -58,7 +60,7 @@ class PhotometryError(Exception):
 
 
 class DegenerateVectorError(PhotometryError):
-    """A vector too close to zero to normalize."""
+    """A vector without a direction: near zero, infinite or NaN."""
 
 
 class DimensionMismatchError(PhotometryError):
@@ -206,19 +208,34 @@ def require_sigmas(sigmas, count: int | None = None, positive: bool = False) -> 
     return sig
 
 
+def finish_columns(cols: np.ndarray, norm: np.ndarray, valid: np.ndarray, unit: bool) -> None:
+    """Norms of the (3, B) ``cols`` into ``norm``, and ``valid`` cleared unless
+    DEGENERATE_NORM < |v| < inf (NaN and overflow fail, with no warning); with
+    ``unit`` also where z <= 0 (facing away from the camera), and the columns
+    become a NormalMap's unit normals, the camera axis where invalid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.sqrt(np.einsum("cp,cp->p", cols, cols, out=norm), out=norm)
+        valid &= (norm > DEGENERATE_NORM) & (norm < np.inf)
+        if unit:
+            valid &= cols[2] > 0.0
+            cols /= np.where(valid, norm, 1.0)
+            np.copyto(cols, CAMERA_AXIS[:, None], where=~valid)
+
+
 def normalize(v) -> tuple[np.ndarray, float]:
     """Split a 3-vector into (unit direction, norm).
 
     The returned direction times the norm reconstructs the input to roundoff.
-    Raises DegenerateVectorError when the norm is at or below 1e-12.
+    Raises DegenerateVectorError unless 1e-9 < norm < inf (``finish_columns``).
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise DimensionMismatchError(f"expected a 3-vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
-    if n <= UNIT_TOL:
-        raise DegenerateVectorError(f"cannot normalize near-zero vector (norm={n:.3e})")
-    return v / n, n
+    norm, ok = np.empty(1), np.ones(1, dtype=bool)
+    finish_columns(v[:, None], norm, ok, unit=False)
+    if not ok[0]:
+        raise DegenerateVectorError(f"cannot normalize a vector of norm {norm[0]:.3e}")
+    return v / norm[0], float(norm[0])
 
 
 def rank_ratio(matrix: np.ndarray) -> float:

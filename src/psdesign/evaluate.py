@@ -18,6 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
+    DEGENERATE_NORM,
     AlbedoMap,
     DimensionMismatchError,
     EmptyMaskError,
@@ -27,13 +28,15 @@ from .core import (
     _require_int,
     freeze,
     pixel_blocks,
+    product_blocks,
     runner,
 )
 # render_stack, add_noise and solve_map are not called here: they are imported
 # only because perfbench's traced run patches them here, until it drops them
-from .forward import NoiseSpec, Stage, _fill_image, add_noise, render_stack, stream_key  # noqa: F401
+from .forward import (NoiseSpec, Stage, _fill_image, add_noise, render_block,  # noqa: F401
+                      render_stack, stream_key)
 from .oed import ShapePrior, build_shape_prior, phi_shape_aware
-from .solver import DEGENERATE_NORM, solve_map, whitened_factor, whitening  # noqa: F401
+from .solver import lit_columns, solve_map, whitened_factor, whitening  # noqa: F401
 
 HISTOGRAM_EDGES = freeze(np.arange(0.0, 30.25, 0.5))
 BRACKET_SE = 5.0  # a bracket's reach either side of its rank, in standard errors
@@ -242,28 +245,30 @@ def compare_configs(
 ) -> list[ConfigComparison]:
     """Monte Carlo comparison of named light configurations on one scene.
 
-    A config scores its clean-lit pixels, a set fixed per call: valid in the
-    ground truth, with rho * min_i(s_i . n) >= tau, the solver's threshold.
-    There the solver's estimate is exactly n_tilde = rho n + F sigma z,
-    z ~ N(0, I_3), with F = R^-1 of S = QR from ``whitened_factor`` at unit
-    weights: sigma^2 F F^T is ``oed.covariance``, which uses the same helper.
-    Trial k draws sigma z once per pixel, row i from
-    ``substream(stream_key(seed, Stage.COMPARE, k), i)``, and every config
+    A config scores its clean-lit pixels, a set fixed per call and marked once
+    over ``product_blocks``: each task renders its slice with
+    ``forward.render_block`` and tests it with the solver's ``lit_columns``
+    (masked pixels render to 0, below tau), so the set is that test of
+    render_stack's images, bit for bit.  There the solver's estimate is exactly
+    n_tilde = rho n + F sigma z, z ~ N(0, I_3), with F = R^-1 of S = QR from
+    ``whitened_factor`` at unit weights: sigma^2 F F^T is ``oed.covariance``,
+    which uses the same helper.  Trial k draws sigma z once per pixel, row i
+    from ``substream(stream_key(seed, Stage.COMPARE, k), i)``, and every config
     reads it (common random numbers), so a row does not depend on the configs
-    beside it.  The lit set is marked once, as an index array that each trial
-    walks in blocks; element-wise multiply-adds over blocks give the set and
-    n_tilde, so no byte depends on the block size or thread count.  As in the
-    solver, n_tilde with z <= 0 or |n_tilde| <= 1e-9 is dropped.  One runner
-    (see ``core.runner``) serves the call.  Trial k draws z rows 0 and 1 in one
-    run; row 2 was drawn into a spare row in trial k - 1's run, which scored
-    every config's blocks, and trades places with it.  The blocks write a
-    row's trial buffer and compact in order; the row keeps the samples inside
-    the brackets its first trial with samples sets (see ``_Tally``).  If a rank
-    the stats read lies outside them, every trial is drawn again with one
-    unbounded bracket per row.  mean_deg is the trial sums' sum, in trial
-    order, over the count.  The stats carry no error map.  A config with no
-    sample gets note="no-valid-pixels" and no stats; if no config has a
-    clean-lit pixel, nothing is drawn.  Each row records phi under the prior.
+    beside it.  Each trial walks a config's set, an index array, in blocks;
+    element-wise multiply-adds give n_tilde, so no byte depends on the block
+    size or thread count.  As in the solver, n_tilde with z <= 0 or
+    |n_tilde| <= 1e-9 is dropped.  One runner (see ``core.runner``) serves the call.
+    Trial k draws z rows 0 and 1 in one run; row 2 was drawn into a spare row
+    in trial k - 1's run, which scored every config's blocks, and trades places
+    with it.  The blocks write a row's trial buffer and compact in order; the
+    row keeps the samples inside the brackets its first trial with samples sets
+    (see ``_Tally``).  If a rank the stats read lies outside them, every trial
+    is drawn again with one unbounded bracket per row.  mean_deg is the trial
+    sums' sum, in trial order, over the count.  The stats carry no error map.
+    A config with no sample gets note="no-valid-pixels" and no stats; if no
+    config has a clean-lit pixel, nothing is drawn.  Each row records phi under
+    the prior.
     """
     if _require_int("trials", trials) < 1:
         raise InvalidSpecError("trials must be >= 1")
@@ -274,22 +279,17 @@ def compare_configs(
         prior = build_shape_prior(gt_normals)
     gt_xyz = gt_normals.normals.reshape(-1, 3).T
     gt_mask, rho = gt_normals.mask.reshape(-1), albedo.values.reshape(-1)
-    tau, blocks = whitening(sigma, 1)[1], pixel_blocks(gt_mask.size)
+    tau, frame = whitening(sigma, 1)[1], (gt_xyz, rho, gt_mask)
     lits = []
     with runner(gt_mask.size) as run:
         for lights in configs.values():
             lit = np.empty(gt_mask.size, dtype=bool)
 
             def mark(s: slice) -> None:  # run calls it before the loop moves on
-                low = np.full(s.stop - s.start, np.inf)
-                for sx, sy, sz in lights.rows:
-                    np.minimum(low, sx * gt_xyz[0, s] + sy * gt_xyz[1, s] + sz * gt_xyz[2, s],
-                               out=low)
-                np.logical_and(rho[s] * low >= tau, gt_mask[s], out=lit[s])
+                images = np.empty((lights.m, s.stop - s.start))
+                lit_columns(render_block(images, lights.rows, *frame, s), tau, lit[s])
 
-            # invalid pixels hold unconstrained normals, and the mask drops them
-            with np.errstate(invalid="ignore", over="ignore"):
-                run(mark, blocks)
+            run(mark, product_blocks(gt_mask.size))
             lits.append(np.flatnonzero(lit))
         factors = [whitened_factor(c.rows, np.ones(c.m))[1] for c in configs.values()]
         z, spare = [np.empty(gt_mask.size) for _ in range(3)], np.empty(gt_mask.size)

@@ -1,8 +1,9 @@
 """Lambertian image formation and the additive Gaussian error model.
 
-Rendering clamps negative cosines to zero (attached shadow: a surface cannot
-emit negative light).  Noise is *not* clamped, so the error stays exactly
-Gaussian; quantization and sensor saturation are not modeled.
+Rendering clamps negative cosines to zero (attached shadow), one
+``product_blocks`` slice per ``render_block``, which ``render_stack`` and
+``evaluate.compare_configs`` share.  Noise is *not* clamped, so the error
+stays exactly Gaussian; quantization and sensor saturation are not modeled.
 """
 
 from __future__ import annotations
@@ -97,30 +98,32 @@ def render_pixel(n, rho: float, s) -> float:
     return float(max(0.0, rho * float(n @ s)))
 
 
+def render_block(out: np.ndarray, rows: np.ndarray, normals: np.ndarray, albedo: np.ndarray,
+                 mask: np.ndarray, s: slice) -> np.ndarray:
+    """Render into (m, B) ``out`` one ``product_blocks`` slice ``s`` of the
+    (3, P) ``normals``: ``rows`` times it, clamped at 0, times ``albedo``, and
+    0 off ``mask``, where normals are unconstrained (with no warning)."""
+    with np.errstate(invalid="ignore", over="ignore"):  # the mask zeroes NaN, inf and overflow
+        np.matmul(rows, normals[:, s], out=out)
+        rho, invalid = albedo[s], ~mask[s]
+        for image in out:  # one image at a time
+            np.maximum(image, 0.0, out=image)
+            image *= rho
+            np.copyto(image, 0.0, where=invalid)  # a masked write, not a gather
+    return out
+
+
 def render_stack(nmap: NormalMap, amap: AlbedoMap, lights: LightConfig) -> IntensityStack:
-    """Render one noiseless image per light; invalid pixels render to 0."""
+    """Render one noiseless image per light by ``render_block``; invalid pixels are 0."""
     if (nmap.height, nmap.width) != (amap.height, amap.width):
         raise DimensionMismatchError(
             f"normal map {nmap.height}x{nmap.width} vs albedo map {amap.height}x{amap.width}"
         )
     images = np.empty((lights.m, nmap.mask.size))
-    albedo, mask = amap.values.reshape(-1), nmap.mask.reshape(-1)
-    normals = nmap.normals.reshape(-1, 3).T
-
-    def block(s: slice) -> None:
-        # a fixed-width slice, the tail merged into the last, keeps the bytes of
-        # the whole-frame product (see core.product_blocks); it is finished in cache
-        np.matmul(lights.rows, normals[:, s], out=images[:, s])
-        rho, invalid = albedo[s], ~mask[s]
-        for image in images[:, s]:  # one image at a time
-            np.maximum(image, 0.0, out=image)
-            image *= rho
-            np.copyto(image, 0.0, where=invalid)  # a masked write, not a gather
-
-    # invalid pixels hold unconstrained normals, and their products are zeroed
-    # above, so their NaN, inf or overflow is no error
-    with np.errstate(invalid="ignore", over="ignore"), runner(albedo.size) as run:
-        run(block, product_blocks(albedo.size))
+    frame = nmap.normals.reshape(-1, 3).T, amap.values.reshape(-1), nmap.mask.reshape(-1)
+    with runner(images.shape[1]) as run:
+        run(lambda s: render_block(images[:, s], lights.rows, *frame, s),
+            product_blocks(images.shape[1]))
     return IntensityStack(images=freeze(images.reshape(lights.m, *amap.values.shape)),
                           sigmas=np.zeros(lights.m))
 

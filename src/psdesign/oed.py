@@ -16,17 +16,17 @@ import numpy as np
 
 from .core import (
     AlphaOutOfRangeError,
-    DegenerateVectorError,
     DimensionMismatchError,
     EmptyMaskError,
     LightConfig,
     NormalMap,
     _readonly,
     _require_int,
+    normalize,
     require_sigmas,
     require_spd,
 )
-from .solver import DEGENERATE_NORM, PixelEstimate, whitened_factor
+from .solver import PixelEstimate, whitened_factor
 
 
 @dataclass(frozen=True)
@@ -133,15 +133,10 @@ def b_matrix(n_tilde) -> np.ndarray:
 
     At unit input this is the orthogonal projector off the direction n, which
     is symmetric and idempotent with eigenvalues {1, 1, 0}; that projector
-    form is what enters the shape-aware objective.
+    form is what enters the shape-aware objective.  Raises
+    DegenerateVectorError where ``normalize`` does.
     """
-    v = np.asarray(n_tilde, dtype=float)
-    if v.shape != (3,):
-        raise DimensionMismatchError(f"expected a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if norm <= DEGENERATE_NORM:
-        raise DegenerateVectorError(f"cannot differentiate normalization at norm {norm:.3e}")
-    n = v / norm
+    n, norm = normalize(n_tilde)
     return (np.eye(3) - np.outer(n, n)) / norm
 
 

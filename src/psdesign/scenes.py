@@ -28,6 +28,7 @@ from .core import (
     InvalidSpecError,
     NormalMap,
     _require_int,
+    finish_columns,
     freeze,
 )
 
@@ -37,7 +38,6 @@ from .core import (
 SCENE_PARAMS = {"sphere": {"radius": 0.9}, "paraboloid": {"curvature": 0.5},
                 "plane": {"p": 0.0, "q": 0.0}, "from_file": {"path": None}}
 SCENE_KINDS = tuple(SCENE_PARAMS)
-INGEST_NORM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -154,21 +154,14 @@ def generate(spec: SceneSpec) -> tuple[NormalMap, AlbedoMap]:
 def ingest_normal_map(path) -> NormalMap:
     """Load a 3-channel PFM as a normal map.
 
-    Pixels with non-finite or near-zero vectors are masked out, as are
-    back-facing ones (z <= 0); the remaining vectors are normalized.  A mask
-    sidecar, when present, is intersected with these checks.
+    ``core.finish_columns``, the solver's rule, masks vectors without a
+    direction (norm <= 1e-9, inf or NaN) or facing away (z <= 0) and
+    normalizes the rest; a mask sidecar, when present, is intersected with it.
     """
     data, file_mask = pfm.read_normal_map_arrays(path)
     vectors = np.array(data.transpose(2, 0, 1), dtype=float, order="C")
-    finite = np.all(np.isfinite(vectors), axis=0)
-    vectors[:, ~finite] = 0.0
-    norms = np.linalg.norm(vectors, axis=0)
-    mask = finite & (norms > INGEST_NORM_FLOOR)
-    if file_mask is not None:
-        mask &= file_mask
-    vectors /= np.where(mask, norms, 1.0)
-    mask &= vectors[2] > 0.0
-    vectors[:, ~mask] = CAMERA_AXIS[:, None]
+    mask = np.ones(data.shape[:2], dtype=bool) if file_mask is None else file_mask
+    finish_columns(vectors.reshape(3, -1), np.empty(mask.size), mask.reshape(-1), unit=True)
     if not mask.any():
         raise EmptyMaskError(f"{path}: no valid camera-facing normals")
     return _normal_map(vectors, mask)

@@ -10,12 +10,12 @@ an inverted Gram is within O(cond(S)^2 eps) (Higham, Accuracy and Stability of
 Numerical Algorithms, ch. 19-20); ``oed.covariance`` and ``compare_configs``
 take their F from the same helper.  Each runner task (``core.runner``)
 applies the pseudo-inverse to one ``product_blocks`` slice of the (m, P)
-stack, straight into the (3, P) output, then runs the slice's shadow test
-(one minimum over the images) and ``_finish_columns`` while it is in cache.
-The slices are a constant PRODUCT_COLUMNS wide, the tail merged into the
-last, because BLAS picks its kernel by shape: so they keep the whole-frame
-product's bytes.  Pixels are excluded when any raw intensity falls below
-tau: the linear model says nothing about clamped, near-shadow intensities.
+stack, straight into the (3, P) output, and makes the slice's two per-pixel
+decisions in cache: ``lit_columns`` drops a pixel when any raw intensity falls
+below tau (the linear model says nothing about clamped, near-shadow
+intensities), ``core.finish_columns`` one without a direction or facing away.
+The slices are PRODUCT_COLUMNS wide, the tail merged into the last: BLAS
+picks its kernel by shape, so they keep the whole-frame product's bytes.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from .core import (
     LightConfig,
     NonPositiveSigmaError,
     NormalMap,
+    finish_columns,
     freeze,
     product_blocks,
     require_sigmas,
     runner,
 )
 
-DEGENERATE_NORM = 1e-9
 MIN_SHADOW_TAU = 1e-6
 
 
@@ -72,33 +72,25 @@ def whitened_factor(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.nda
     return q, np.linalg.inv(r)
 
 
-def _finish_columns(cols: np.ndarray, norm: np.ndarray, valid: np.ndarray, unit: bool) -> None:
-    """Norms of the (3, B) n_tilde ``cols`` into ``norm``; ``valid`` cleared where
-    |n_tilde| <= 1e-9, and with ``unit`` where z <= 0 (facing away from the
-    camera), when the columns also become unit normals, the camera axis where
-    invalid."""
-    np.sqrt(np.einsum("cp,cp->p", cols, cols, out=norm), out=norm)
-    valid &= norm > DEGENERATE_NORM
-    if unit:
-        valid &= cols[2] > 0.0
-        cols /= np.where(valid, norm, 1.0)
-        np.copyto(cols, CAMERA_AXIS[:, None], where=~valid)
+def lit_columns(images: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
+    """Lit, into ``out``, where each of the (m, B) ``images`` reaches ``tau`` (NaN fails)."""
+    return np.greater_equal(images.min(axis=0), tau, out=out)
 
 
 def _solve_columns(flat: np.ndarray, lights: LightConfig, sigmas, unit: bool = False):
     """The one per-pixel kernel: n_tilde as (3, P) for an (m, P) stack, its
-    norms, and which pixels are lit and pass ``_finish_columns`` (with
-    ``unit`` as given).  All three arrays are fresh, so callers may seal them."""
+    norms, and which pixels pass ``lit_columns`` and ``core.finish_columns``
+    (with ``unit``), silently.  All three arrays are fresh, so callers may seal them."""
     w, tau = whitening(sigmas, lights.m)
     q, f = whitened_factor(lights.rows, w)
     pinv, count = f @ q.T * w, flat.shape[1]
     n_tilde, norms, ok = np.empty((3, count)), np.empty(count), np.empty(count, dtype=bool)
 
-    def block(s: slice) -> None:  # lit: every image reaches tau (NaN fails), one reduction
-        _finish_columns(np.matmul(pinv, flat[:, s], out=n_tilde[:, s]), norms[s],
-                        np.greater_equal(flat[:, s].min(axis=0), tau, out=ok[s]), unit)
+    def block(s: slice) -> None:
+        finish_columns(np.matmul(pinv, flat[:, s], out=n_tilde[:, s]), norms[s],
+                       lit_columns(flat[:, s], tau, ok[s]), unit)
 
-    with runner(count) as run:
+    with np.errstate(invalid="ignore", over="ignore"), runner(count) as run:
         run(block, product_blocks(count))
     return n_tilde, norms, ok
 
@@ -135,9 +127,9 @@ def solve_map(stack: IntensityStack, lights: LightConfig) -> tuple[NormalMap, Al
     """Per-pixel least squares over the whole stack.
 
     The output mask is false wherever the pixel is shadowed (any intensity
-    below the threshold), the solution is degenerate (|n_tilde| <= 1e-9), or
-    the estimated normal faces away from the camera (z <= 0, inexpressible in
-    a camera-facing normal map).
+    below the threshold), the solution has no direction (|n_tilde| <= 1e-9,
+    infinite or NaN), or the estimated normal faces away from the camera
+    (z <= 0, inexpressible in a camera-facing normal map).
     """
     if stack.m != lights.m:
         raise DimensionMismatchError(f"stack has {stack.m} images but config has {lights.m} lights")

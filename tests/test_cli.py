@@ -12,7 +12,7 @@ from psdesign import NoiseSpec, Stage, add_noise, cli, render_stack, solve_map, 
 from psdesign.cli import main, validate_report
 from psdesign.oed import build_shape_prior
 from psdesign.optimize import baseline_heuristic_spread, optimize_lights
-from psdesign.pfm import read_pfm
+from psdesign.pfm import read_pfm, write_pfm
 from psdesign.scenes import generate
 
 from conftest import noise_draws
@@ -394,6 +394,28 @@ def test_solve_rejects_a_three_channel_image(tmp_path, capsys):
                  "--images", normals, normals, normals, "--out", str(tmp_path / "s")]) == 3
     assert "expected a 1-channel intensity image" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_solve_masks_an_infinite_pixel(tmp_path):
+    # +inf in one pixel of img_002 makes that estimate infinite with z = +inf
+    # (the rig's pseudo-inverse weighs image 2 positively in z): the solve masks
+    # the pixel and keeps every other one, with no RuntimeWarning
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Run config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(example)
+    out_r, sidecar = tmp_path / "render", str(tmp_path / "render" / "render.json")
+    assert main(["render", "--config", str(cfg_path), "--out", str(out_r)]) == 0
+    assert main(["solve", "--sidecar", sidecar, "--out", str(tmp_path / "finite")]) == 0
+    before = read_pfm(tmp_path / "finite" / "normals.mask.pfm") > 0.5
+    assert before[32, 32]
+    image = read_pfm(out_r / "img_002.pfm")
+    image[32, 32] = np.inf
+    write_pfm(out_r / "img_002.pfm", image)
+    assert main(["solve", "--sidecar", sidecar, "--out", str(tmp_path / "inf")]) == 0
+    after = read_pfm(tmp_path / "inf" / "normals.mask.pfm") > 0.5
+    before[32, 32] = False
+    assert np.array_equal(after, before)
 
 
 def test_no_valid_pixels_is_numeric_error(tmp_path, capsys):

@@ -70,6 +70,22 @@ class TestNormalize:
         with pytest.raises(DegenerateVectorError):
             normalize([1e-13, 0.0, 0.0])
 
+    @pytest.mark.parametrize("v", [(np.inf, 0.0, 1.0), (np.nan, 0.0, 1.0),
+                                   (1e200, 1e200, 1e200), (3e-10, 0.0, 4e-10)])
+    def test_no_direction(self, v):
+        # an infinite or NaN norm, one whose sum of squares overflows and one at
+        # or below the solver's floor of 1e-9 raise, with no RuntimeWarning
+        with pytest.raises(DegenerateVectorError):
+            normalize(v)
+        with pytest.raises(DegenerateVectorError):
+            b_matrix(v)
+
+    def test_just_above_the_floor(self):
+        unit, norm = normalize([0.0, 0.0, 2e-9])
+        assert (unit.tolist(), norm) == ([0.0, 0.0, 1.0], 2e-9)
+        assert np.allclose(b_matrix([0.0, 0.0, 2e-9]), np.diag([5e8, 5e8, 0.0]), rtol=1e-15,
+                           atol=0.0)
+
 
 finite_components = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False

@@ -422,6 +422,16 @@ class TestCompareConfigs:
         noisy_lit = [solve_map(add_noise(clean, NoiseSpec.uniform(sigma, lights.m, seed=key)),
                                lights)[0].mask.reshape(-1) for key in keys]
         assert any((mask & ~lit).any() for mask in noisy_lit)
+        scored = self.spy_on_scored_pixels(monkeypatch, nmap)
+        [row] = compare_configs(nmap, amap, {"ring": lights}, sigma=sigma, trials=trials,
+                                seed=seed)
+        assert scored == [np.flatnonzero(lit).tolist()] * trials
+        assert row.stats.count <= trials * np.count_nonzero(lit)
+
+    @staticmethod
+    def spy_on_scored_pixels(monkeypatch, nmap) -> list:
+        """The list to which each call of ``_angle_deg`` appends the frame
+        indices of the pixels it scores, found by their ground-truth normals."""
         valid = np.flatnonzero(nmap.mask)
         pixel_of = {nmap.normals.reshape(-1, 3)[p].tobytes(): p for p in valid}
         assert len(pixel_of) == valid.size  # every pixel of the sphere has its own normal
@@ -432,10 +442,35 @@ class TestCompareConfigs:
             return angle_deg(est, gt, out=out)
 
         monkeypatch.setattr(evaluate, "_angle_deg", spy)
-        [row] = compare_configs(nmap, amap, {"ring": lights}, sigma=sigma, trials=trials,
-                                seed=seed)
-        assert scored == [np.flatnonzero(lit).tolist()] * trials
-        assert row.stats.count <= trials * np.count_nonzero(lit)
+        return scored
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("shape, slices", [((24, 30), 1), ((36, 40), 2), ((41, 40), 3)])
+    @pytest.mark.parametrize("m", [3, 6, 16, 17])
+    def test_a_pixel_whose_clean_image_ties_tau_is_scored(self, monkeypatch, m, shape, slices,
+                                                          cpus):
+        # sigma puts tau = max(3 sigma, 1e-6) exactly on a clean rendered value,
+        # so the scored pixels are the clean render's tau test at its tie.  With
+        # 512-column product slices the frames are 1, 2 and 3 slices, the tail
+        # merged into the last, each marked on 1 or 2 threads
+        monkeypatch.setattr(core, "PRODUCT_COLUMNS", 512)
+        nmap, amap = generate(SceneSpec(kind="sphere", width=shape[1], height=shape[0],
+                                        albedo=AlbedoSpec(value=0.9)))
+        lights, prior = cap_rig(m), build_shape_prior(nmap)
+        blocks = core.product_blocks(nmap.mask.size)
+        assert len(blocks) == slices and blocks[-1].stop - blocks[-1].start > 512
+        low = render_stack(nmap, amap, lights).images.reshape(m, -1).min(axis=0)
+        ties = [v for v in np.sort(low[nmap.mask.reshape(-1)]) if 3.0 * (v / 3.0) == v >= 1e-6]
+        tau = ties[len(ties) // 4]
+        sigma = tau / 3.0
+        assert max(3.0 * sigma, 1e-6) == tau
+        lit = self.clean_lit(nmap, amap, lights, sigma)
+        assert lit[low == tau].all() and (nmap.mask.reshape(-1) & ~lit).any()
+        pools = reach_threads(monkeypatch, cpus)
+        scored = self.spy_on_scored_pixels(monkeypatch, nmap)
+        compare_configs(nmap, amap, {"cap": lights}, sigma=sigma, trials=2, seed=7, prior=prior)
+        assert len(pools) == (cpus > 1)
+        assert scored == [np.flatnonzero(lit).tolist()] * 2
 
     @staticmethod
     def tilted_plane():

@@ -270,6 +270,26 @@ class TestIngest:
         loaded = ingest_normal_map(path)
         assert list(loaded.mask[0]) == [True, False, False]
 
+    def test_a_vector_at_or_below_the_solvers_floor_is_masked(self, tmp_path):
+        # core.finish_columns keeps a direction above a norm of 1e-9, for the
+        # solver and the ingest alike: a camera-facing vector of norm 5e-10 is
+        # masked, and every other pixel is v / np.linalg.norm(v), bit for bit
+        rng = np.random.default_rng(35)
+        data = rng.normal(size=(6, 7, 3)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(6, 7, 1))
+        data[..., 2] = np.abs(data[..., 2]) + 0.5 * np.abs(data).max(axis=-1)
+        data[2, 3] = (3e-10, 0.0, 4e-10)
+        path = tmp_path / "tiny.pfm"
+        write_pfm(path, data)
+        vectors = data.astype(np.float32).astype(float)
+        assert 4.9e-10 < np.linalg.norm(vectors[2, 3]) < 5.1e-10
+        loaded = ingest_normal_map(path)
+        others = np.ones((6, 7), dtype=bool)
+        others[2, 3] = False
+        assert np.array_equal(loaded.mask, others)
+        assert np.array_equal(loaded.normals[2, 3], CAMERA_AXIS)
+        unit = vectors / np.linalg.norm(vectors, axis=-1, keepdims=True)
+        assert loaded.normals[others].tobytes() == unit[others].tobytes()
+
     def test_empty_after_filtering(self, tmp_path):
         data = np.zeros((2, 2, 3), dtype=np.float32)  # all zero vectors
         path = tmp_path / "e.pfm"

@@ -19,9 +19,9 @@ from psdesign import (
     solve_map,
     substream,
 )
-from psdesign.core import NonPositiveSigmaError, rank_ratio
+from psdesign.core import DEGENERATE_NORM, NonPositiveSigmaError, rank_ratio
 from psdesign.oed import b_matrix
-from psdesign.solver import DEGENERATE_NORM, _solve_columns
+from psdesign.solver import _solve_columns
 from psdesign.scenes import AlbedoSpec, SceneSpec, generate
 
 from conftest import (
@@ -30,6 +30,7 @@ from conftest import (
     well_conditioned_config,
     well_conditioned_rows,
 )
+from test_blocks import cap_rig
 
 ROUND_TRIP_TOL = 1e-10
 
@@ -300,6 +301,34 @@ class TestSolveMap:
         before = ~np.any(flat < tau, axis=0) & (norms > DEGENERATE_NORM)
         assert np.array_equal(ok, before)
         assert ok.tolist() == [True, True, False, False, False]
+
+    def test_non_finite_estimates_are_masked_silently(self):
+        # an infinite intensity, six intensities of 1e300 (|n_tilde|^2
+        # overflows) and a NaN mask their pixels, with no RuntimeWarning; every
+        # other pixel is solved as if those three were finite
+        nmap, amap = self.sphere(side=9)
+        lights = cap_rig(6)
+        finite = render_stack(nmap, amap, lights).images.copy()
+        images = finite.copy()
+        images[2, 3, 4] = np.inf
+        images[:, 4, 4] = 1e300
+        images[5, 5, 3] = np.nan
+        bad = np.zeros((9, 9), dtype=bool)
+        bad[3, 4] = bad[4, 4] = bad[5, 3] = True
+        sigmas = np.full(6, 0.01)
+        got_n, got_a = solve_map(IntensityStack(images=images, sigmas=sigmas), lights)
+        ref_n, ref_a = solve_map(IntensityStack(images=finite, sigmas=sigmas), lights)
+        assert ref_n.mask[bad].all()
+        assert np.array_equal(got_n.mask, ref_n.mask & ~bad)
+        assert np.all(got_n.normals[bad] == [0.0, 0.0, 1.0])
+        assert got_n.normals[~bad].tobytes() == ref_n.normals[~bad].tobytes()
+        assert got_a.values[~bad].tobytes() == ref_a.values[~bad].tobytes()
+
+    def test_overflowing_intensities_give_an_invalid_estimate(self):
+        est = solve_lsq(np.full(6, 1e300), cap_rig(6), np.zeros(6))
+        assert not est.valid
+        assert est.albedo == np.inf
+        assert np.array_equal(est.normal, [0.0, 0.0, 1.0])
 
     def test_stack_size_must_match(self):
         nmap, amap = self.sphere(side=9)
